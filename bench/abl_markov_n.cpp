@@ -25,7 +25,7 @@ int main() {
     Curve curve{"order " + std::to_string(order), {}};
     for (double lookahead : lookaheads()) {
       AccuracyConfig config;
-      config.predictor.custom_markov_order = order;
+      config.predictor.markov_order = order;
       curve.points.push_back(
           evaluate_accuracy(trace.store, trace.slo, vms, lookahead, config));
     }

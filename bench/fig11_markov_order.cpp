@@ -29,10 +29,10 @@ int main() {
     Curve two{"2-dep Markov", {}}, one{"simple Markov", {}};
     for (double lookahead : lookaheads()) {
       AccuracyConfig config;
-      config.predictor.order = MarkovOrder::kTwoDependent;
+      config.predictor.markov_order = 2;
       two.points.push_back(
           evaluate_accuracy(trace.store, trace.slo, vms, lookahead, config));
-      config.predictor.order = MarkovOrder::kSimple;
+      config.predictor.markov_order = 1;
       one.points.push_back(
           evaluate_accuracy(trace.store, trace.slo, vms, lookahead, config));
     }

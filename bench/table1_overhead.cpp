@@ -36,8 +36,7 @@
 #include "obs/model_introspect.h"
 #include "obs/span_tracer.h"
 #include "obs/stage_profiler.h"
-#include "models/markov.h"
-#include "models/markov2.h"
+#include "models/markov_bank.h"
 #include "models/tan.h"
 #include "monitor/vm_monitor.h"
 #include "sim/clock.h"
@@ -98,27 +97,24 @@ void BM_VmMonitoring13Attributes(benchmark::State& state) {
 }
 BENCHMARK(BM_VmMonitoring13Attributes);
 
-void BM_SimpleMarkovTraining600(benchmark::State& state) {
+/// Builds and trains a bank of the 13 attributes' order-`order` chains.
+void markov_training(benchmark::State& state, std::size_t order) {
   const auto& data = training_data();
+  const std::vector<std::size_t> alphabets(kAttributeCount, kBins);
   for (auto _ : state) {
-    for (std::size_t a = 0; a < kAttributeCount; ++a) {
-      MarkovChain chain(kBins);
-      chain.train(data.symbol_columns[a]);
-      benchmark::DoNotOptimize(chain);
-    }
+    MarkovBank bank(order, alphabets);
+    bank.train(data.symbol_columns);
+    benchmark::DoNotOptimize(bank);
   }
+}
+
+void BM_SimpleMarkovTraining600(benchmark::State& state) {
+  markov_training(state, 1);
 }
 BENCHMARK(BM_SimpleMarkovTraining600);
 
 void BM_TwoDepMarkovTraining600(benchmark::State& state) {
-  const auto& data = training_data();
-  for (auto _ : state) {
-    for (std::size_t a = 0; a < kAttributeCount; ++a) {
-      TwoDependentMarkov chain(kBins);
-      chain.train(data.symbol_columns[a]);
-      benchmark::DoNotOptimize(chain);
-    }
-  }
+  markov_training(state, 2);
 }
 BENCHMARK(BM_TwoDepMarkovTraining600);
 

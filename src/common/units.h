@@ -81,8 +81,8 @@ class VmId : public internal::StrongOrdinal<VmId, std::uint32_t> {
 };
 
 /// A count of sampling intervals (the paper's look-ahead "k"): the
-/// prediction horizon of ValuePredictor::predict / AnomalyPredictor::
-/// predict, i.e. lookahead_s / sampling_interval_s rounded.
+/// prediction horizon of MarkovBank::predict / AnomalyPredictor::predict,
+/// i.e. lookahead_s / sampling_interval_s rounded.
 class TickIndex : public internal::StrongOrdinal<TickIndex, std::size_t> {
  public:
   using StrongOrdinal::StrongOrdinal;

@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "models/markov.h"
-#include "models/markov2.h"
-#include "models/markov_n.h"
 #include "models/naive_bayes.h"
 #include "models/outlier.h"
 #include "models/tan.h"
@@ -18,17 +15,6 @@ AnomalyPredictor::AnomalyPredictor(std::vector<std::string> feature_names,
     : names_(std::move(feature_names)), config_(config) {
   PREPARE_CHECK_MSG(!names_.empty(), "predictor needs at least one feature");
   PREPARE_CHECK(config_.bins >= 2);
-}
-
-std::unique_ptr<ValuePredictor> AnomalyPredictor::make_value_predictor(
-    std::size_t alphabet) const {
-  if (config_.custom_markov_order > 0)
-    return std::make_unique<NDependentMarkov>(
-        config_.custom_markov_order, alphabet, config_.markov_alpha);
-  if (config_.order == MarkovOrder::kSimple)
-    return std::make_unique<MarkovChain>(alphabet, config_.markov_alpha);
-  return std::make_unique<TwoDependentMarkov>(alphabet,
-                                              config_.markov_alpha);
 }
 
 void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
@@ -74,24 +60,23 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
     }
   }
 
-  // Train the per-feature value predictors on the discretized sequences.
-  // Alphabets are per-feature: quantile discretization merges ties.
-  predictors_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    auto predictor = make_value_predictor(discretizers_[i].bins());
-    predictor->train(discretizers_[i].discretize(columns[i]));
-    predictors_.push_back(std::move(predictor));
-  }
-
-  // Train the classifier on discretized rows + labels.
+  // Train the value predictors on the discretized sequences. Alphabets
+  // are per-feature: quantile discretization merges ties.
   LabeledDataset data;
   data.alphabet.resize(n);
-  for (std::size_t i = 0; i < n; ++i) data.alphabet[i] = discretizers_[i].bins();
+  std::vector<std::vector<std::size_t>> sequences(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data.alphabet[i] = discretizers_[i].bins();
+    sequences[i] = discretizers_[i].discretize(columns[i]);
+  }
+  bank_.emplace(config_.markov_order, data.alphabet, config_.markov_alpha);
+  bank_->train(sequences);
+
+  // Train the classifier on the same discretized rows + labels.
   data.rows.reserve(rows.size());
-  for (const auto& row : rows) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
     std::vector<std::size_t> symbols(n);
-    for (std::size_t i = 0; i < n; ++i)
-      symbols[i] = discretizers_[i].discretize(row[i]);
+    for (std::size_t i = 0; i < n; ++i) symbols[i] = sequences[i][r];
     data.rows.push_back(std::move(symbols));
   }
   data.abnormal.assign(abnormal.begin(), abnormal.end());
@@ -148,7 +133,6 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
   // predict_into allocation-free; see analyze_annotations.h).
   scratch_dists_.resize(n);
   scratch_row_.resize(n);
-  scratch_paths_.resize(n);
 
   // Flattened-evidence layout for the flight recorder: per-feature
   // effective alphabets are only known after discretizer fitting.
@@ -179,9 +163,8 @@ void AnomalyPredictor::set_introspect(obs::ModelIntrospect* introspect) {
 
 void AnomalyPredictor::report_model_state() const {
   if (introspect_ == nullptr || !trained_) return;
-  for (std::size_t i = 0; i < predictors_.size(); ++i) {
-    const ValuePredictor::RowStats stats = predictors_[i]->row_stats();
-    if (stats.rows == 0) continue;
+  for (std::size_t i = 0; i < bank_->attributes(); ++i) {
+    const MarkovBank::RowStats stats = bank_->row_stats(i);
     const double occupied = static_cast<double>(stats.occupied_rows);
     introspect_->probe_markov(
         i,
@@ -199,10 +182,9 @@ void AnomalyPredictor::observe(const std::vector<double>& row) {
   obs::ScopedTimer timer(stage_discretize_);
   last_row_.resize(row.size());
   if (capture_evidence_) last_raw_row_ = row;
-  for (std::size_t i = 0; i < row.size(); ++i) {
+  for (std::size_t i = 0; i < row.size(); ++i)
     last_row_[i] = discretizers_[i].discretize(row[i]);
-    predictors_[i]->observe(BinIndex{last_row_[i]}, config_.online_learning);
-  }
+  bank_->observe(last_row_, config_.online_learning);
   if (introspect_ != nullptr) {
     // observe() runs in the controller's serial per-VM loop (driver
     // thread), so feeding the driver-confined introspector here is safe.
@@ -213,10 +195,7 @@ void AnomalyPredictor::observe(const std::vector<double>& row) {
 }
 
 bool AnomalyPredictor::ready() const {
-  if (!trained_ || !has_observation_) return false;
-  for (const auto& p : predictors_)
-    if (!p->ready()) return false;
-  return true;
+  return trained_ && has_observation_ && bank_->ready();
 }
 
 AnomalyPredictor::Result AnomalyPredictor::predict(TickIndex steps) const {
@@ -238,108 +217,58 @@ void AnomalyPredictor::predict_into(TickIndex steps, bool with_horizon,
   PREPARE_CHECK_MSG(ready(), "predict() before the model is ready");
   PREPARE_CHECK(steps.value() >= 1);
   PREPARE_CHECK(out != nullptr);
-  if (introspect_ != nullptr && with_horizon) {
-    predict_with_horizon_into(steps, out);
-    return;
-  }
-  // A reused Result may carry probabilities from an earlier calibration
-  // round; this path does not fill them.
-  out->horizon_probs.clear();
+  // With an introspector attached, the look-ahead also writes the whole
+  // horizon path; its final step is bit-identical to the plain output,
+  // so the classification (and thus every alert) is unchanged.
+  const bool horizon = introspect_ != nullptr && with_horizon;
   // Scratch vectors are pre-sized by train() (feature count is fixed).
   auto& dists = scratch_dists_;
   {
     obs::ScopedTimer timer(stage_lookahead_);
-    for (std::size_t i = 0; i < predictors_.size(); ++i)
-      predictors_[i]->predict_into(steps, &dists[i]);
+    bank_->predict_into(steps, &dists, horizon ? &scratch_path_ : nullptr);
   }
 
   obs::ScopedTimer classify_timer(stage_classify_);
+  auto& row = scratch_row_;
+  const std::size_t nf = dists.size();
   if (config_.classify_mode) {
-    auto& row = scratch_row_;
-    for (std::size_t i = 0; i < dists.size(); ++i) row[i] = dists[i].mode();
+    for (std::size_t i = 0; i < nf; ++i) row[i] = dists[i].mode();
     classifier_->classify_into(row, &out->classification);
   } else {
     classifier_->classify_expected_into(dists, &out->classification);
   }
+  if (horizon) {
+    // Calibration probabilities: sigmoid of the mode-row log-odds score
+    // at every horizon step. Always mode-row scoring — even under
+    // classify_expected — so the per-horizon numbers compare one fixed
+    // scoring rule across backends and horizons.
+    const std::size_t k = steps.value();
+    // prepare-analyze: allow(hot-alloc): capacity-steady — horizon fixed
+    out->horizon_probs.resize(k);
+    for (std::size_t s = 0; s < k; ++s) {
+      for (std::size_t i = 0; i < nf; ++i)
+        row[i] = scratch_path_[s * nf + i].mode();
+      const double score = classifier_->score(row).value();
+      const double p = 1.0 / (1.0 + std::exp(-score));
+      PREPARE_DCHECK(std::isfinite(p) && p >= 0.0 && p <= 1.0)
+          << "degenerate anomaly probability " << p << " at horizon step "
+          << s + 1;
+      out->horizon_probs[s] = p;
+    }
+  } else {
+    // A reused Result may carry probabilities from an earlier
+    // calibration round; this round has none.
+    out->horizon_probs.clear();
+  }
   classify_timer.stop();
   if (supervised_without_abnormal_) out->classification.abnormal = false;
   // prepare-analyze: allow(hot-alloc): capacity-steady reused Result
-  out->predicted_values.resize(dists.size());
-  for (std::size_t i = 0; i < dists.size(); ++i)
+  out->predicted_values.resize(nf);
+  for (std::size_t i = 0; i < nf; ++i)
     out->predicted_values[i] =
         dists[i].expectation(discretizers_[i].centers());
   out->evidence.valid = false;
   if (capture_evidence_) capture_evidence_into(out);
-}
-
-void AnomalyPredictor::predict_with_horizon_into(TickIndex steps,
-                                                 Result* out) const {
-  auto& paths = scratch_paths_;
-  {
-    obs::ScopedTimer timer(stage_lookahead_);
-    for (std::size_t i = 0; i < predictors_.size(); ++i)
-      predictors_[i]->predict_path_into(steps, &paths[i]);
-  }
-
-  const std::size_t k = steps.value();
-  const std::size_t nf = paths.size();
-  obs::ScopedTimer classify_timer(stage_classify_);
-  auto& row = scratch_row_;
-  // One feature-major sweep extracts every per-step mode into a flat
-  // step-major table: each path's distributions are read sequentially
-  // (they were allocated together), instead of chasing all 13 paths
-  // once per step below.
-  auto& modes = scratch_modes_;
-  // prepare-analyze: allow(hot-alloc): capacity-steady — horizon fixed
-  modes.resize(k * nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    const std::vector<Distribution>& path = paths[i];
-    for (std::size_t s = 0; s < k; ++s) modes[s * nf + i] = path[s].mode();
-  }
-  if (config_.classify_mode) {
-    for (std::size_t i = 0; i < nf; ++i) row[i] = modes[(k - 1) * nf + i];
-    classifier_->classify_into(row, &out->classification);
-  } else {
-    auto& dists = scratch_dists_;
-    for (std::size_t i = 0; i < nf; ++i) dists[i] = paths[i][k - 1];
-    classifier_->classify_expected_into(dists, &out->classification);
-  }
-  // Calibration probabilities: sigmoid of the mode-row log-odds score at
-  // every horizon step. Always mode-row scoring — even under
-  // classify_expected — so the per-horizon numbers compare one fixed
-  // scoring rule across backends and horizons.
-  // prepare-analyze: allow(hot-alloc): capacity-steady — horizon fixed
-  out->horizon_probs.resize(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    std::copy(modes.begin() + static_cast<std::ptrdiff_t>(s * nf),
-              modes.begin() + static_cast<std::ptrdiff_t>((s + 1) * nf),
-              row.begin());
-    const double score = classifier_->score(row).value();
-    const double p = 1.0 / (1.0 + std::exp(-score));
-    PREPARE_DCHECK(std::isfinite(p) && p >= 0.0 && p <= 1.0)
-        << "degenerate anomaly probability " << p << " at horizon step "
-        << s + 1;
-    out->horizon_probs[s] = p;
-  }
-  classify_timer.stop();
-  if (supervised_without_abnormal_) out->classification.abnormal = false;
-  // prepare-analyze: allow(hot-alloc): capacity-steady reused Result
-  out->predicted_values.resize(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i)
-    out->predicted_values[i] =
-        paths[i][k - 1].expectation(discretizers_[i].centers());
-  out->evidence.valid = false;
-  if (capture_evidence_) {
-    // capture_evidence_into reads the final-step distributions from
-    // scratch_dists_; under classify_mode this path never copied them
-    // there, so mirror the expected-mode arm's copy (capacity-steady:
-    // per-feature alphabets are fixed after train()).
-    if (config_.classify_mode) {
-      auto& dists = scratch_dists_;
-      for (std::size_t i = 0; i < nf; ++i) dists[i] = paths[i][k - 1];
-    }
-    capture_evidence_into(out);
-  }
 }
 
 void AnomalyPredictor::capture_evidence_into(Result* out) const {

@@ -4,26 +4,26 @@
 // One instance models one *component* (normally one VM with its 13
 // attributes; the "monolithic" baseline of Fig. 10 feeds the concatenated
 // attributes of every VM into a single instance). For each feature the
-// predictor maintains a Markov value predictor over discretized values;
-// prediction at a look-ahead of k sampling intervals pushes each feature
-// k steps forward and classifies the resulting joint (independent)
-// distribution with the TAN (or naive Bayes) classifier.
+// predictor maintains a Markov value predictor over discretized values
+// (one MarkovBank holds them all); prediction at a look-ahead of k
+// sampling intervals pushes each feature k steps forward and classifies
+// the resulting joint (independent) distribution with the TAN (or naive
+// Bayes) classifier.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/analyze_annotations.h"
 #include "models/classifier.h"
 #include "models/discretizer.h"
-#include "models/value_predictor.h"
+#include "models/markov_bank.h"
 #include "obs/model_introspect.h"
 #include "obs/stage_profiler.h"
 
 namespace prepare {
-
-enum class MarkovOrder { kSimple, kTwoDependent };
 
 /// kOutlier is the Section V extension: an unsupervised tree-structured
 /// density model that flags never-seen states, enabling prediction of
@@ -47,11 +47,10 @@ struct PredictorConfig {
   /// the edge bins instead of stretching the grid so far that the whole
   /// healthy-to-degrading trajectory collapses into one bin.
   bool fit_on_normal = true;
-  MarkovOrder order = MarkovOrder::kTwoDependent;
-  /// Overrides `order` with an arbitrary context length when > 0 (uses
-  /// the generalized NDependentMarkov; 1 and 2 then coincide with the
-  /// enum choices). Higher orders need alphabet^order rows of data.
-  std::size_t custom_markov_order = 0;
+  /// Markov context length (MarkovBank order): 2 is the paper's
+  /// 2-dependent model, 1 the simple chain Fig. 11 compares it with.
+  /// Higher orders need alphabet^order rows of training data.
+  std::size_t markov_order = 2;
   ClassifierKind classifier = ClassifierKind::kTan;
   double classifier_alpha = 0.5;       ///< Laplace smoothing (CPTs)
   double markov_alpha = 0.05;          ///< Laplace smoothing (transitions)
@@ -199,21 +198,13 @@ class AnomalyPredictor {
   /// driver-thread-confined.
   void set_introspect(obs::ModelIntrospect* introspect);
 
-  /// Sweeps every value predictor's transition rows and the
+  /// Sweeps every attribute's Markov transition rows and the
   /// classifier's CPTs into the attached introspector's probe
   /// accumulators. Driver thread only, between begin_probe() and
   /// end_probe(); no-op when nothing is attached or not yet trained.
   void report_model_state() const;
 
  private:
-  std::unique_ptr<ValuePredictor> make_value_predictor(
-      std::size_t alphabet) const;
-  /// predict_into() variant taken when an introspector is attached: one
-  /// full horizon path per feature instead of a single final
-  /// distribution. The final-step path elements are bit-identical to
-  /// the plain variant's output, so the classification (and thus every
-  /// alert) is unchanged.
-  void predict_with_horizon_into(TickIndex steps, Result* out) const;
   /// Copies the decision evidence of the prediction just computed
   /// (scratch_dists_ must hold the final-step distributions) into
   /// out->evidence. Hot like its callers: pure copies into
@@ -225,7 +216,7 @@ class AnomalyPredictor {
   bool trained_ = false;
 
   std::vector<Discretizer> discretizers_;
-  std::vector<std::unique_ptr<ValuePredictor>> predictors_;
+  std::optional<MarkovBank> bank_;
   std::unique_ptr<Classifier> classifier_;
   std::vector<std::size_t> last_row_;
   /// Raw values of the latest observe() row; only maintained when
@@ -252,18 +243,14 @@ class AnomalyPredictor {
   // Per-predict transient buffers, reused across ticks so the steady
   // state allocates nothing. Safe despite `mutable`: a predictor is
   // confined to its VM's worker thread (the parallel driver shards by
-  // VM), matching the thread-safety story of the scratch buffers inside
-  // the Markov models themselves.
+  // VM), matching the thread-safety story of the bank's own scratch.
+  /// Final-step distribution per feature.
   mutable std::vector<Distribution> scratch_dists_;
   mutable std::vector<std::size_t> scratch_row_;
-  /// Step-major per-step marginal modes (scratch_modes_[s * nf + i] is
-  /// feature i's mode at horizon step s + 1), filled by one
-  /// feature-major sweep over scratch_paths_.
-  mutable std::vector<std::size_t> scratch_modes_;
-  /// Per-feature full horizon paths (scratch_paths_[i][s] is feature
-  /// i's distribution at step s+1); only used when an introspector is
+  /// Step-major horizon path (scratch_path_[s * nf + i] is feature i's
+  /// distribution at step s + 1); only filled when an introspector is
   /// attached.
-  mutable std::vector<std::vector<Distribution>> scratch_paths_;
+  mutable std::vector<Distribution> scratch_path_;
 };
 
 }  // namespace prepare

@@ -1,0 +1,141 @@
+// Order-n Markov value prediction for every attribute of one component
+// (paper Section II-B, Fig. 2).
+//
+// Each attribute has its own order-n chain over its discretized values:
+// the combined state is the tuple of the last `order` symbols, and each
+// step maps (x1..xn) -> (x2..xn, c) with probability P(c | x1..xn).
+// Order 1 is the simple chain of the authors' earlier ALERT work (the
+// Fig. 11 baseline), order 2 the paper's 2-dependent model; higher
+// orders capture longer patterns but need alphabet^order transition rows
+// of training data (the `abl_markov_n` bench). A k-step prediction pushes
+// the one-hot current state k steps and marginalizes the result onto the
+// newest symbol.
+//
+// The bank runs that look-ahead for all attributes at once. Attributes
+// are packed 16 to a lane group; the smoothed transition rows are stored
+// lane-major, P[state][next][lane], so one step for one destination
+// state is a handful of 16-wide multiply-adds held in registers. Every
+// context index uses the widest alphabet of the bank as its radix;
+// narrower alphabets and the unused lanes of the last group are padded
+// with all-zero rows that no state ever reaches. See DESIGN.md §11 for
+// why the result is bit-identical to a per-attribute scalar push.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "common/analyze_annotations.h"
+#include "common/units.h"
+#include "models/distribution.h"
+
+namespace prepare {
+
+class MarkovBank {
+ public:
+  /// Transition-row statistics of one attribute for model introspection
+  /// (obs/model_introspect.h): how spread the learned rows are and how
+  /// much of the state space training actually visited. Entropy is in
+  /// nats over the *smoothed* rows, restricted to rows with at least one
+  /// observed transition (a never-visited row is uniform by smoothing
+  /// and would drown the signal).
+  struct RowStats {
+    std::size_t rows = 0;           ///< transition rows in the model
+    std::size_t occupied_rows = 0;  ///< rows with observed transitions
+    double entropy_sum = 0.0;       ///< over occupied rows
+    double entropy_max = 0.0;       ///< over occupied rows
+    double count_total = 0.0;       ///< raw transition observations
+  };
+
+  /// `order` >= 1 context length; one attribute per `alphabets` entry
+  /// (at least one), each >= 2 symbols; `alpha` > 0 is the Laplace
+  /// smoothing pseudo-count.
+  MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
+             double alpha = 0.5);
+
+  /// Batch-trains every attribute on its symbol sequence
+  /// (`sequences[i]` for attribute i, all of one length): resets the
+  /// counts and leaves the context at the end of the sequences.
+  void train(const std::vector<std::vector<std::size_t>>& sequences);
+
+  /// Feeds one runtime row, one symbol per attribute. With `learn` the
+  /// transition counts are updated too (the paper's periodic model
+  /// update); without, only the context advances.
+  void observe(const std::vector<std::size_t>& row, bool learn);
+
+  /// Writes attribute i's value distribution `steps` (>= 1) intervals
+  /// ahead into (*dists)[i]. With a non-null `per_step`, also writes the
+  /// distribution at every step s + 1 = 1..steps into
+  /// (*per_step)[s * attributes() + i]; that element is bit-identical to
+  /// the (*dists)[i] of a call with steps = s + 1. Requires ready().
+  PREPARE_HOT void predict_into(TickIndex steps,
+                                std::vector<Distribution>* dists,
+                                std::vector<Distribution>* per_step) const;
+  /// predict_into() into a fresh vector, without the per-step path.
+  std::vector<Distribution> predict(TickIndex steps) const;
+
+  /// Whether `order` rows have been seen, so every context is full.
+  bool ready() const { return seen_ == order_; }
+  std::size_t order() const { return order_; }
+  std::size_t attributes() const { return alphabets_.size(); }
+  std::size_t alphabet(std::size_t attribute) const;
+
+  /// Smoothed P(next | context) of one attribute; `context` holds
+  /// `order` symbols, oldest first.
+  Probability transition(std::size_t attribute,
+                         const std::vector<std::size_t>& context,
+                         BinIndex next) const;
+
+  /// Row statistics of one attribute's transition table.
+  RowStats row_stats(std::size_t attribute) const;
+
+ private:
+  /// Two lanes of doubles in one 128-bit register: SSE2 on baseline
+  /// x86-64, NEON on aarch64.
+  typedef double LanePair __attribute__((vector_size(16)));
+  static constexpr std::size_t kLanes = 16;
+  static constexpr std::size_t kPairs = kLanes / 2;
+  /// Bound on width^(order+1), the cells of one lane's table.
+  static constexpr std::size_t kMaxCellsPerLane = std::size_t{1} << 16;
+
+  /// Transition rows of one attribute: alphabet^order.
+  std::size_t rows(std::size_t attribute) const;
+  /// Context index (radix width_) of the attribute-radix row `row`.
+  std::size_t padded_context(std::size_t row, std::size_t alphabet) const;
+  /// Index of count cell (attribute, context, next).
+  std::size_t count_index(std::size_t attribute, std::size_t context,
+                          std::size_t next) const {
+    return (attribute * states_ + context) * width_ + next;
+  }
+  /// Stored smoothed P(next | context) of one attribute.
+  double probability(std::size_t attribute, std::size_t context,
+                     std::size_t next) const;
+  /// Recomputes one attribute's smoothed row P(· | context) from its
+  /// counts.
+  void rebuild_row(std::size_t attribute, std::size_t context);
+  /// rebuild_row() for every attribute's every row.
+  void rebuild_rows();
+  /// Writes the lane group's marginal distributions of state vector `v`
+  /// to out[0..lanes).
+  void marginalize(const LanePair* v, std::size_t first, std::size_t lanes,
+                   Distribution* out) const;
+
+  std::size_t order_;
+  std::vector<std::size_t> alphabets_;
+  double alpha_;
+  std::size_t width_ = 0;   ///< widest alphabet: the radix of contexts
+  std::size_t states_ = 1;  ///< width_^order
+  std::size_t groups_ = 0;  ///< lane groups of kLanes attributes
+  /// Raw transition counts, [attribute][context][next].
+  std::vector<double> counts_;
+  /// Smoothed transition rows, [group][context][next][lane pair].
+  std::vector<LanePair> probs_;
+  /// Per-attribute rolling context index (radix width_).
+  std::vector<std::size_t> context_;
+  std::size_t seen_ = 0;  ///< rows observed, saturating at order_
+  /// Per-predict ping-pong state vectors of one lane group,
+  /// [context][lane pair], sized in the constructor so the look-ahead
+  /// allocates nothing.
+  mutable std::vector<LanePair> scratch_v_, scratch_next_;
+};
+
+}  // namespace prepare

@@ -148,7 +148,7 @@ TEST(AnomalyPredictor, NaiveBayesBackendWorks) {
 
 TEST(AnomalyPredictor, SimpleMarkovBackendWorks) {
   PredictorConfig config;
-  config.order = MarkovOrder::kSimple;
+  config.markov_order = 1;
   AnomalyPredictor p(names(), config);
   const auto trace = leak_trace(9);
   p.train(trace.rows, trace.abnormal);

@@ -26,9 +26,7 @@
 
 #include "common/rng.h"
 #include "core/anomaly_predictor.h"
-#include "models/markov.h"
-#include "models/markov2.h"
-#include "models/markov_n.h"
+#include "models/markov_bank.h"
 #include "models/tan.h"
 
 namespace prepare {
@@ -169,10 +167,10 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
     sequence.push_back(static_cast<std::size_t>(rng.uniform_int(0, 4)));
 
   // Order 1: k-step propagation recomputed from public transition().
-  MarkovChain chain(5, 0.05);
-  chain.train(sequence);
+  MarkovBank chain(1, {5}, 0.05);
+  chain.train({sequence});
   for (std::size_t steps : {1u, 4u, 9u}) {
-    const Distribution fast = chain.predict(TickIndex{steps});
+    const Distribution fast = chain.predict(TickIndex{steps})[0];
     std::vector<double> v(5, 0.0);
     v[sequence.back()] = 1.0;
     for (std::size_t s = 0; s < steps; ++s) {
@@ -180,7 +178,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
       for (std::size_t i = 0; i < 5; ++i) {
         if (v[i] <= 0.0) continue;
         for (std::size_t j = 0; j < 5; ++j)
-          next[j] += v[i] * chain.transition(BinIndex{i}, BinIndex{j});
+          next[j] += v[i] * chain.transition(0, {i}, BinIndex{j});
       }
       v.swap(next);
     }
@@ -192,14 +190,14 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
   }
 
   // Order 2: pair-state propagation recomputed from transition().
-  TwoDependentMarkov two(4, 0.05);
+  MarkovBank two(2, {4}, 0.05);
   std::vector<std::size_t> seq2;
   for (std::size_t i = 0; i < 300; ++i)
     seq2.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
-  two.train(seq2);
+  two.train({seq2});
   const std::size_t prev = seq2[seq2.size() - 2], cur = seq2.back();
   for (std::size_t steps : {1u, 5u}) {
-    const Distribution fast = two.predict(TickIndex{steps});
+    const Distribution fast = two.predict(TickIndex{steps})[0];
     std::vector<double> v(16, 0.0);
     v[prev * 4 + cur] = 1.0;
     for (std::size_t s = 0; s < steps; ++s) {
@@ -210,7 +208,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
           if (mass <= 0.0) continue;
           for (std::size_t c = 0; c < 4; ++c)
             next[b * 4 + c] +=
-                mass * two.transition(BinIndex{a}, BinIndex{b}, BinIndex{c});
+                mass * two.transition(0, {a, b}, BinIndex{c});
         }
       v.swap(next);
     }
@@ -229,11 +227,11 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
 
 TEST(Golden, NDependentCachedRowsEqualTransition) {
   Rng rng(37);
-  NDependentMarkov m(3, 3, 0.5);
+  MarkovBank m(3, {3}, 0.5);
   std::vector<std::size_t> sequence;
   for (std::size_t i = 0; i < 300; ++i)
     sequence.push_back(static_cast<std::size_t>(rng.uniform_int(0, 2)));
-  m.train(sequence);
+  m.train({sequence});
   // Every cached transition row must reproduce the smoothed-count
   // formula exactly, and rows must stay normalized.
   for (std::size_t a = 0; a < 3; ++a)
@@ -241,10 +239,10 @@ TEST(Golden, NDependentCachedRowsEqualTransition) {
       for (std::size_t c = 0; c < 3; ++c) {
         double total = 0.0;
         for (std::size_t next = 0; next < 3; ++next)
-          total += m.transition({a, b, c}, BinIndex{next});
+          total += m.transition(0, {a, b, c}, BinIndex{next});
         EXPECT_NEAR(total, 1.0, 1e-12);
       }
-  const Distribution p = m.predict(TickIndex{3});
+  const Distribution p = m.predict(TickIndex{3})[0];
   EXPECT_NEAR(p.sum(), 1.0, 1e-9);
 }
 

@@ -1,0 +1,543 @@
+// MarkovBank: the order-n Markov look-ahead for all of a component's
+// attributes.
+//
+// The MarkovChain, TwoDependentMarkov and NDependentMarkov suites keep
+// the names of the order-1 (simple), order-2 (the paper's 2-dependent)
+// and order-n models they were first written for; each now runs on a
+// bank of that order. The MarkovBank suite pins the batched kernel
+// bit-for-bit against a per-attribute scalar Chapman–Kolmogorov push
+// built from the public transition(), across orders, bank widths (one
+// lane group, exactly one, one past it, several), mixed alphabets and
+// horizons.
+#include "models/markov_bank.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/check.h"
+#include "common/rng.h"
+#include "models/discretizer.h"
+
+namespace prepare {
+namespace {
+
+std::vector<std::size_t> random_sequence(std::size_t n, std::size_t k,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> seq;
+  for (std::size_t i = 0; i < n; ++i)
+    seq.push_back(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(k) - 1)));
+  return seq;
+}
+
+/// Single-attribute bank trained on `seq`.
+MarkovBank trained(std::size_t order, std::size_t alphabet, double alpha,
+                   const std::vector<std::size_t>& seq) {
+  MarkovBank bank(order, {alphabet}, alpha);
+  bank.train({seq});
+  return bank;
+}
+
+Distribution predict1(const MarkovBank& bank, std::size_t steps) {
+  return bank.predict(TickIndex{steps})[0];
+}
+
+double transition1(const MarkovBank& bank,
+                   const std::vector<std::size_t>& context,
+                   std::size_t next) {
+  return bank.transition(0, context, BinIndex{next}).value();
+}
+
+/// The scalar reference: attribute `attribute`'s one-hot context pushed
+/// `steps` times in scatter order (sources ascending, zero-mass sources
+/// skipped), marginalized onto the newest symbol and normalized. The
+/// rows come from the bank's public transition().
+std::vector<double> reference_prediction(
+    const MarkovBank& bank, std::size_t attribute,
+    const std::vector<std::size_t>& context, std::size_t steps) {
+  const std::size_t a = bank.alphabet(attribute);
+  const std::size_t order = bank.order();
+  std::size_t states = 1;
+  for (std::size_t i = 0; i < order; ++i) states *= a;
+  std::vector<double> table(states * a);
+  std::vector<std::size_t> digits(order);
+  for (std::size_t ctx = 0; ctx < states; ++ctx) {
+    for (std::size_t i = 0, rest = ctx; i < order; ++i, rest /= a)
+      digits[order - 1 - i] = rest % a;
+    for (std::size_t c = 0; c < a; ++c)
+      table[ctx * a + c] =
+          bank.transition(attribute, digits, BinIndex{c}).value();
+  }
+  std::size_t start = 0;
+  for (std::size_t s : context) start = start * a + s;
+  std::vector<double> v(states, 0.0);
+  v[start] = 1.0;
+  for (std::size_t s = 0; s < steps; ++s) {
+    std::vector<double> next(states, 0.0);
+    for (std::size_t ctx = 0; ctx < states; ++ctx) {
+      const double mass = v[ctx];
+      if (mass <= 0.0) continue;
+      for (std::size_t c = 0; c < a; ++c)
+        next[(ctx % (states / a)) * a + c] += mass * table[ctx * a + c];
+    }
+    v.swap(next);
+  }
+  std::vector<double> marginal(a, 0.0);
+  for (std::size_t ctx = 0; ctx < states; ++ctx) marginal[ctx % a] += v[ctx];
+  double total = 0.0;
+  for (double x : marginal) total += x;
+  for (double& x : marginal) x /= total;
+  return marginal;
+}
+
+// ---- order 1: the simple chain ----
+
+TEST(MarkovChain, RejectsBadConstruction) {
+  EXPECT_THROW(MarkovBank(1, {1}), CheckFailure);
+  EXPECT_THROW(MarkovBank(1, {4}, 0.0), CheckFailure);
+}
+
+TEST(MarkovChain, PredictBeforeContextThrows) {
+  MarkovBank m(1, {3});
+  EXPECT_FALSE(m.ready());
+  EXPECT_THROW(m.predict(TickIndex{1}), CheckFailure);
+  m.observe({0}, true);
+  EXPECT_TRUE(m.ready());
+  EXPECT_NO_THROW(m.predict(TickIndex{1}));
+}
+
+TEST(MarkovChain, TransitionRowsAreDistributions) {
+  const MarkovBank m = trained(1, 4, 0.5, random_sequence(500, 4, 3));
+  for (std::size_t from = 0; from < 4; ++from) {
+    double total = 0.0;
+    for (std::size_t to = 0; to < 4; ++to) total += transition1(m, {from}, to);
+    EXPECT_NEAR(total, 1.0, 1e-9);
+  }
+}
+
+TEST(MarkovChain, LearnsDeterministicCycle) {
+  std::vector<std::size_t> seq;
+  for (int i = 0; i < 300; ++i) seq.push_back(i % 3);
+  const MarkovBank m = trained(1, 3, 0.01, seq);
+  // Last symbol is 2; one step ahead must be 0, two steps 1, three 2.
+  EXPECT_EQ(predict1(m, 1).mode(), 0u);
+  EXPECT_EQ(predict1(m, 2).mode(), 1u);
+  EXPECT_EQ(predict1(m, 3).mode(), 2u);
+}
+
+TEST(MarkovChain, MultiStepIsChapmanKolmogorov) {
+  const MarkovBank m = trained(1, 3, 0.5, random_sequence(400, 3, 4));
+  // P2[j] = sum_i P1[i] * T[i][j]
+  const auto p1 = predict1(m, 1);
+  const auto p2 = predict1(m, 2);
+  for (std::size_t j = 0; j < 3; ++j) {
+    double expect = 0.0;
+    for (std::size_t i = 0; i < 3; ++i) expect += p1[i] * transition1(m, {i}, j);
+    EXPECT_NEAR(p2[j], expect, 1e-9);
+  }
+}
+
+TEST(MarkovChain, ObserveWithoutLearnOnlyMovesContext) {
+  std::vector<std::size_t> seq;
+  for (int i = 0; i < 300; ++i) seq.push_back(i % 3);
+  MarkovBank learner = trained(1, 3, 0.01, seq);
+  const double before = transition1(learner, {0}, 1);
+  const double self_before = transition1(learner, {0}, 0);
+  learner.observe({0}, /*learn=*/false);
+  learner.observe({0}, /*learn=*/false);  // a 0->0 transition, not learned
+  EXPECT_DOUBLE_EQ(transition1(learner, {0}, 1), before);
+  EXPECT_DOUBLE_EQ(transition1(learner, {0}, 0), self_before);
+  // The context did move: from 0, the next step follows row 0.
+  EXPECT_EQ(predict1(learner, 1).mode(), 1u);
+  learner.observe({0}, /*learn=*/true);  // now learned
+  EXPECT_GT(transition1(learner, {0}, 0), self_before);
+}
+
+// ---- order 2: the paper's 2-dependent model ----
+
+TEST(TwoDependentMarkov, RejectsBadConstruction) {
+  EXPECT_THROW(MarkovBank(2, {1}), CheckFailure);
+  EXPECT_THROW(MarkovBank(2, {4}, -1.0), CheckFailure);
+}
+
+TEST(TwoDependentMarkov, NeedsTwoObservations) {
+  MarkovBank m(2, {3});
+  EXPECT_FALSE(m.ready());
+  m.observe({0}, true);
+  EXPECT_FALSE(m.ready());
+  EXPECT_THROW(m.predict(TickIndex{1}), CheckFailure);
+  m.observe({1}, true);
+  EXPECT_TRUE(m.ready());
+  EXPECT_NO_THROW(m.predict(TickIndex{1}));
+  m.observe({2}, true);
+  EXPECT_TRUE(m.ready());
+}
+
+TEST(TwoDependentMarkov, TransitionRowsAreDistributions) {
+  const MarkovBank m = trained(2, 3, 0.5, random_sequence(600, 3, 5));
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t b = 0; b < 3; ++b) {
+      double total = 0.0;
+      for (std::size_t c = 0; c < 3; ++c) total += transition1(m, {a, b}, c);
+      EXPECT_NEAR(total, 1.0, 1e-9);
+    }
+  }
+}
+
+TEST(TwoDependentMarkov, PredictionSumsToOne) {
+  const MarkovBank m = trained(2, 4, 0.5, random_sequence(600, 4, 6));
+  for (std::size_t steps : {1u, 2u, 5u, 24u})
+    EXPECT_NEAR(predict1(m, steps).sum(), 1.0, 1e-9);
+}
+
+// The paper's motivating case (Section II-B): a triangle-wave attribute.
+// At a given level the next value depends on the *slope*, which only the
+// pair state captures: the simple chain is blind to direction.
+std::vector<std::size_t> triangle_sequence(std::size_t period_up,
+                                           int repeats) {
+  std::vector<std::size_t> seq;
+  for (int r = 0; r < repeats; ++r) {
+    for (std::size_t v = 0; v < period_up; ++v) seq.push_back(v);
+    for (std::size_t v = period_up; v-- > 1;) seq.push_back(v);
+  }
+  return seq;
+}
+
+TEST(TwoDependentMarkov, TracksTriangleWaveSlope) {
+  const auto seq = triangle_sequence(5, 60);  // 0..4..1 repeating
+  const MarkovBank two = trained(2, 5, 0.05, seq);
+  const MarkovBank one = trained(1, 5, 0.05, seq);
+  // The sequence ends ... 3 2 1 (descending at 1): next is 0.
+  EXPECT_EQ(predict1(two, 1).mode(), 0u);
+  // The simple chain at state 1 is torn between 0 (down) and 2 (up);
+  // measure probability mass instead of the tie-dependent mode.
+  EXPECT_GT(predict1(two, 1)[0], 0.9);
+  EXPECT_LT(predict1(one, 1)[0], 0.7);
+}
+
+TEST(TwoDependentMarkov, OutperformsSimpleOnRampForecast) {
+  // Long rising ramps: from (prev<cur) the 2-dependent model keeps
+  // climbing over multiple steps; the simple chain diffuses.
+  std::vector<std::size_t> seq;
+  for (int r = 0; r < 50; ++r)
+    for (std::size_t v = 0; v < 8; ++v) seq.push_back(v);
+  // Train on all but the tail, then predict from mid-ramp.
+  const std::vector<std::size_t> train(seq.begin(), seq.end() - 5);
+  const MarkovBank two = trained(2, 8, 0.05, train);
+  const MarkovBank one = trained(1, 8, 0.05, train);
+  // Context is ... 1 2 (ascending): three steps ahead should be 5.
+  const auto p_two = predict1(two, 3);
+  const auto p_one = predict1(one, 3);
+  EXPECT_GT(p_two[5], p_one[5]);
+  EXPECT_EQ(p_two.mode(), 5u);
+}
+
+TEST(TwoDependentMarkov, SymbolOutOfRangeThrows) {
+  MarkovBank m(2, {3});
+  EXPECT_THROW(m.observe({3}, true), CheckFailure);
+  EXPECT_THROW(m.train({{0, 1, 3}}), CheckFailure);
+  // A bad symbol in any attribute rejects the whole row, before any
+  // context moves.
+  MarkovBank wide(2, {3, 4});
+  EXPECT_THROW(wide.observe({0, 4}, true), CheckFailure);
+  EXPECT_FALSE(wide.ready());
+  EXPECT_THROW(wide.observe({0}, true), CheckFailure);
+}
+
+// Property sweep: predictions are valid distributions for any horizon.
+class MarkovHorizonSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MarkovHorizonSweep, ValidDistributionAtAnyHorizon) {
+  const auto seq = random_sequence(300, 5, 9);
+  const MarkovBank one = trained(1, 5, 0.5, seq);
+  const MarkovBank two = trained(2, 5, 0.5, seq);
+  for (const auto& p : {predict1(one, GetParam()), predict1(two, GetParam())}) {
+    EXPECT_NEAR(p.sum(), 1.0, 1e-9);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_GE(p[i], 0.0);
+      EXPECT_LE(p[i], 1.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Horizons, MarkovHorizonSweep,
+                         ::testing::Values(1, 2, 3, 6, 9, 24, 100));
+
+// ---- order n ----
+
+TEST(NDependentMarkov, RejectsBadConstruction) {
+  EXPECT_THROW(MarkovBank(0, {3}), CheckFailure);
+  EXPECT_THROW(MarkovBank(1, {1}), CheckFailure);
+  EXPECT_THROW(MarkovBank(2, {3}, 0.0), CheckFailure);
+  EXPECT_THROW(MarkovBank(20, {10}), CheckFailure);  // 10^20 states
+  EXPECT_THROW(MarkovBank(2, {}), CheckFailure);     // no attributes
+  EXPECT_THROW(MarkovBank(2, {3, 1, 4}), CheckFailure);
+}
+
+TEST(NDependentMarkov, Order1MatchesSimpleChain) {
+  const auto seq = random_sequence(500, 4, 1);
+  const MarkovBank general = trained(1, 4, 0.5, seq);
+  for (std::size_t steps : {1u, 3u, 7u}) {
+    const auto a = predict1(general, steps);
+    const auto b = reference_prediction(general, 0, {seq.back()}, steps);
+    for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a[i], b[i]);
+  }
+}
+
+TEST(NDependentMarkov, Order2MatchesTwoDependent) {
+  const auto seq = random_sequence(600, 3, 2);
+  const MarkovBank general = trained(2, 3, 0.5, seq);
+  const std::vector<std::size_t> context(seq.end() - 2, seq.end());
+  for (std::size_t steps : {1u, 2u, 5u, 12u}) {
+    const auto a = predict1(general, steps);
+    const auto b = reference_prediction(general, 0, context, steps);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(a[i], b[i]);
+  }
+}
+
+TEST(NDependentMarkov, TransitionRowsAreDistributions) {
+  const MarkovBank m = trained(3, 3, 0.5, random_sequence(800, 3, 3));
+  std::vector<std::size_t> ctx(3);
+  for (ctx[0] = 0; ctx[0] < 3; ++ctx[0])
+    for (ctx[1] = 0; ctx[1] < 3; ++ctx[1])
+      for (ctx[2] = 0; ctx[2] < 3; ++ctx[2]) {
+        double total = 0.0;
+        for (std::size_t n = 0; n < 3; ++n) total += transition1(m, ctx, n);
+        EXPECT_NEAR(total, 1.0, 1e-9);
+      }
+  EXPECT_THROW(m.transition(0, {0, 1}, BinIndex{0}), CheckFailure);
+  EXPECT_THROW(m.transition(0, {0, 1, 3}, BinIndex{0}), CheckFailure);
+  EXPECT_THROW(m.transition(1, {0, 1, 2}, BinIndex{0}), CheckFailure);
+}
+
+TEST(NDependentMarkov, ReadyNeedsOrderObservations) {
+  MarkovBank m(3, {4});
+  m.observe({0}, true);
+  m.observe({1}, true);
+  EXPECT_FALSE(m.ready());
+  EXPECT_THROW(m.predict(TickIndex{1}), CheckFailure);
+  m.observe({2}, true);
+  EXPECT_TRUE(m.ready());
+  EXPECT_NO_THROW(m.predict(TickIndex{2}));
+  // A training sequence shorter than the order leaves the bank unready.
+  m.train({{1, 2}});
+  EXPECT_FALSE(m.ready());
+  m.observe({3}, true);
+  EXPECT_TRUE(m.ready());
+}
+
+TEST(NDependentMarkov, Order3DisambiguatesWhereOrder2CanNot) {
+  // Period-6 wave 0 1 1 2 1 1 | ... : the order-2 context (1, 1) is
+  // followed by 2 half the time (after 0 1 1) and by 0 the other half
+  // (after 2 1 1); the order-3 context resolves the ambiguity.
+  std::vector<std::size_t> seq;
+  for (int r = 0; r < 100; ++r)
+    for (std::size_t v : {0u, 1u, 1u, 2u, 1u, 1u}) seq.push_back(v);
+  const MarkovBank three = trained(3, 3, 0.05, seq);
+  const MarkovBank two = trained(2, 3, 0.05, seq);
+  // Sequence ends ... 2 1 1: next must be 0.
+  EXPECT_GT(predict1(three, 1)[0], 0.95);
+  EXPECT_LT(predict1(two, 1)[0], 0.65);  // order-2 is torn between 0 and 2
+}
+
+TEST(NDependentMarkov, PredictionsAreValidDistributions) {
+  const MarkovBank m = trained(3, 4, 0.2, random_sequence(500, 4, 5));
+  for (std::size_t steps : {1u, 4u, 24u}) {
+    const auto d = predict1(m, steps);
+    EXPECT_NEAR(d.sum(), 1.0, 1e-9);
+    for (std::size_t i = 0; i < d.size(); ++i) EXPECT_GE(d[i], 0.0);
+  }
+}
+
+// Order sweep: every order learns the deterministic cycle it can encode.
+class MarkovOrderSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MarkovOrderSweep, LearnsCycle) {
+  std::vector<std::size_t> seq;
+  for (int r = 0; r < 200; ++r)
+    for (std::size_t v = 0; v < 4; ++v) seq.push_back(v);
+  const MarkovBank m = trained(GetParam(), 4, 0.05, seq);
+  // Sequence ends at 3; one step ahead is 0, two ahead 1, ...
+  EXPECT_EQ(predict1(m, 1).mode(), 0u);
+  EXPECT_EQ(predict1(m, 2).mode(), 1u);
+  EXPECT_EQ(predict1(m, 6).mode(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, MarkovOrderSweep,
+                         ::testing::Values(1, 2, 3, 4));
+
+// ---- the batched kernel ----
+
+/// A bank's worth of attributes with mixed alphabets, as a component's
+/// discretizers produce them: quantile bins over tied data merge into
+/// fewer than requested, and guard bins add two beyond the training
+/// range. Runtime rows include out-of-range values, so contexts land in
+/// guard bins too.
+struct MixedFixture {
+  std::vector<std::size_t> alphabets;
+  std::vector<std::vector<std::size_t>> train;    // per attribute
+  std::vector<std::vector<std::size_t>> runtime;  // per row
+};
+
+MixedFixture mixed_fixture(std::size_t width, std::uint64_t seed) {
+  Rng rng(seed);
+  MixedFixture f;
+  f.train.resize(width);
+  std::vector<Discretizer> grids;
+  for (std::size_t a = 0; a < width; ++a) {
+    const double grain = a % 4 == 0 ? 10.0 : 1.0;  // coarse: many ties
+    std::vector<double> values;
+    double level = 50.0;
+    for (std::size_t t = 0; t < 240; ++t) {
+      level += rng.gaussian(0.0, 3.0) + (t % 40 < 20 ? 0.5 : -0.5);
+      values.push_back(std::round(level / grain) * grain);
+    }
+    Discretizer grid(5, DiscretizerKind::kQuantile, 0.05,
+                     /*guard_bins=*/a % 3 == 1);
+    grid.fit(values);
+    f.alphabets.push_back(grid.bins());
+    f.train[a] = grid.discretize(values);
+    grids.push_back(grid);
+  }
+  for (std::size_t t = 0; t < 6; ++t) {
+    std::vector<std::size_t> row;
+    for (std::size_t a = 0; a < width; ++a) {
+      const double far = t % 2 == 0 ? 1e6 : -1e6;
+      row.push_back(grids[a].discretize(
+          t == 3 ? far : rng.gaussian(50.0, 10.0)));
+    }
+    f.runtime.push_back(std::move(row));
+  }
+  return f;
+}
+
+class MarkovBankKernel
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+// Every lane of every group equals its attribute's scalar push, bit for
+// bit (EXPECT_EQ, not EXPECT_DOUBLE_EQ's 4 ulps), after training and
+// after runtime rows that learn, and the per-step path equals the
+// final-step prediction of every shorter horizon.
+TEST_P(MarkovBankKernel, BitIdenticalToScalarPush) {
+  const auto [order, width] = GetParam();
+  const MixedFixture f = mixed_fixture(width, 100 + order * 7 + width);
+  MarkovBank bank(order, f.alphabets, 0.05);
+  bank.train(f.train);
+  std::vector<std::vector<std::size_t>> history = f.train;
+  std::size_t widest = 0;
+  for (std::size_t a : f.alphabets) widest = std::max(widest, a);
+  if (width > 1) {
+    EXPECT_LT(*std::min_element(f.alphabets.begin(), f.alphabets.end()),
+              widest)
+        << "fixture must pad some lanes";
+  }
+  for (std::size_t round = 0; round <= f.runtime.size(); ++round) {
+    if (round > 0) {
+      bank.observe(f.runtime[round - 1], /*learn=*/round % 2 == 1);
+      for (std::size_t a = 0; a < width; ++a)
+        history[a].push_back(f.runtime[round - 1][a]);
+    }
+    if (round % 3 != 0) continue;
+    std::vector<Distribution> dists, path;
+    bank.predict_into(TickIndex{24}, &dists, &path);
+    ASSERT_EQ(dists.size(), width);
+    ASSERT_EQ(path.size(), 24 * width);
+    for (std::size_t steps : {1u, 2u, 24u}) {
+      const auto single = bank.predict(TickIndex{steps});
+      for (std::size_t a = 0; a < width; ++a) {
+        const std::vector<std::size_t> context(history[a].end() - order,
+                                               history[a].end());
+        const auto expected = reference_prediction(bank, a, context, steps);
+        ASSERT_EQ(single[a].size(), f.alphabets[a]);
+        for (std::size_t j = 0; j < expected.size(); ++j)
+          EXPECT_EQ(single[a][j], expected[j])
+              << "attribute " << a << " steps " << steps << " bin " << j;
+      }
+    }
+    for (std::size_t s = 0; s < 24; ++s) {
+      const auto single = bank.predict(TickIndex{s + 1});
+      for (std::size_t a = 0; a < width; ++a)
+        for (std::size_t j = 0; j < f.alphabets[a]; ++j)
+          EXPECT_EQ(path[s * width + a][j], single[a][j])
+              << "attribute " << a << " step " << s + 1 << " bin " << j;
+    }
+    for (std::size_t a = 0; a < width; ++a)
+      EXPECT_EQ(dists[a].probabilities(), path[23 * width + a].probabilities());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrdersAndWidths, MarkovBankKernel,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(1, 13, 16, 17, 91)));
+
+// Padding is invisible: an attribute's lane in a wide mixed bank (radix
+// = the widest alphabet) gives exactly what a bank of that attribute
+// alone gives, and so do its rows and row statistics.
+TEST(MarkovBank, LanesMatchSingleAttributeBanks) {
+  const MixedFixture f = mixed_fixture(17, 5);
+  MarkovBank bank(2, f.alphabets, 0.05);
+  bank.train(f.train);
+  for (const auto& row : f.runtime) bank.observe(row, true);
+  const auto wide = bank.predict(TickIndex{24});
+  for (std::size_t a = 0; a < f.alphabets.size(); ++a) {
+    MarkovBank alone = trained(2, f.alphabets[a], 0.05, f.train[a]);
+    for (const auto& row : f.runtime) alone.observe({row[a]}, true);
+    EXPECT_EQ(wide[a].probabilities(),
+              alone.predict(TickIndex{24})[0].probabilities())
+        << "attribute " << a;
+    const auto s = bank.row_stats(a);
+    const auto t = alone.row_stats(0);
+    EXPECT_EQ(s.rows, f.alphabets[a] * f.alphabets[a]);
+    EXPECT_EQ(s.rows, t.rows);
+    EXPECT_EQ(s.occupied_rows, t.occupied_rows);
+    EXPECT_EQ(s.entropy_sum, t.entropy_sum);
+    EXPECT_EQ(s.entropy_max, t.entropy_max);
+    EXPECT_EQ(s.count_total, t.count_total);
+    EXPECT_EQ(bank.transition(a, {0, 1}, BinIndex{1}).value(),
+              alone.transition(0, {0, 1}, BinIndex{1}).value());
+  }
+}
+
+TEST(MarkovBank, RowStatsCountTransitions) {
+  // 0 1 0 1 ... over 3 symbols at order 2: only contexts (0,1) and (1,0)
+  // occur, each followed by one certain symbol.
+  std::vector<std::size_t> seq;
+  for (std::size_t i = 0; i < 50; ++i) seq.push_back(i % 2);
+  MarkovBank bank = trained(2, 3, 0.5, seq);
+  auto stats = bank.row_stats(0);
+  EXPECT_EQ(stats.rows, 9u);
+  EXPECT_EQ(stats.occupied_rows, 2u);
+  EXPECT_DOUBLE_EQ(stats.count_total, 48.0);
+  EXPECT_LT(stats.entropy_max, std::log(3.0));
+  bank.observe({0}, /*learn=*/false);
+  EXPECT_DOUBLE_EQ(bank.row_stats(0).count_total, 48.0);
+  bank.observe({0}, /*learn=*/true);  // (1,0) -> 0: a new count
+  stats = bank.row_stats(0);
+  EXPECT_DOUBLE_EQ(stats.count_total, 49.0);
+  EXPECT_EQ(stats.occupied_rows, 2u);
+  EXPECT_THROW(bank.row_stats(1), CheckFailure);
+}
+
+TEST(MarkovBank, RetrainResetsCountsAndContext) {
+  MarkovBank bank(2, {3, 3});
+  bank.train({random_sequence(200, 3, 1), random_sequence(200, 3, 2)});
+  bank.train({{0, 1, 2, 0, 1, 2}, {2, 2, 2, 2, 2, 2}});
+  EXPECT_DOUBLE_EQ(bank.row_stats(0).count_total, 4.0);
+  EXPECT_EQ(bank.row_stats(1).occupied_rows, 1u);
+  const auto p = bank.predict(TickIndex{1});
+  EXPECT_EQ(p[0].mode(), 0u);  // ... 1 2 -> 0
+  EXPECT_EQ(p[1].mode(), 2u);
+  EXPECT_THROW(bank.train({{0, 1}}), CheckFailure);          // one sequence
+  EXPECT_THROW(bank.train({{0, 1}, {0, 1, 2}}), CheckFailure);  // lengths
+}
+
+}  // namespace
+}  // namespace prepare

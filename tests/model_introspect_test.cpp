@@ -16,9 +16,7 @@
 #include "common/rng.h"
 #include "core/experiment.h"
 #include "models/discretizer.h"
-#include "models/markov.h"
-#include "models/markov2.h"
-#include "models/markov_n.h"
+#include "models/markov_bank.h"
 #include "models/naive_bayes.h"
 #include "models/tan.h"
 #include "obs/metrics.h"
@@ -156,12 +154,12 @@ TEST(ModelIntrospect, UnresolvedTailIsDiscarded) {
 TEST(ModelIntrospect, MarkovRowEntropyOnKnownMatrix) {
   // Alternating 0,1,0,1,... over a 3-symbol alphabet: rows 0 and 1 are
   // occupied with near-deterministic transitions, row 2 never occurs.
-  MarkovChain chain(3);
+  MarkovBank chain(1, {3});
   std::vector<std::size_t> seq;
   for (std::size_t i = 0; i < 100; ++i) seq.push_back(i % 2);
-  chain.train(seq);
+  chain.train({seq});
 
-  const auto stats = chain.row_stats();
+  const auto stats = chain.row_stats(0);
   EXPECT_EQ(stats.rows, 3u);
   EXPECT_EQ(stats.occupied_rows, 2u);
 
@@ -170,8 +168,7 @@ TEST(ModelIntrospect, MarkovRowEntropyOnKnownMatrix) {
   for (std::size_t from = 0; from < 2; ++from) {
     double h = 0.0;
     for (std::size_t to = 0; to < 3; ++to) {
-      const double p =
-          chain.transition(BinIndex{from}, BinIndex{to}).value();
+      const double p = chain.transition(0, {from}, BinIndex{to}).value();
       h -= p * std::log(p);
     }
     expected_sum += h;
@@ -183,9 +180,9 @@ TEST(ModelIntrospect, MarkovRowEntropyOnKnownMatrix) {
   EXPECT_LT(stats.entropy_max, 0.5 * std::log(3.0));
 
   // A uniformly random sequence pushes every row toward log(3).
-  MarkovChain uniform(3);
-  uniform.train(random_sequence(5000, 3, 42));
-  const auto ustats = uniform.row_stats();
+  MarkovBank uniform(1, {3});
+  uniform.train({random_sequence(5000, 3, 42)});
+  const auto ustats = uniform.row_stats(0);
   EXPECT_EQ(ustats.occupied_rows, 3u);
   EXPECT_GT(ustats.entropy_sum / 3.0, 0.95 * std::log(3.0));
 }
@@ -214,33 +211,22 @@ TEST(ModelIntrospect, ProbeGaugesPublish) {
 
 // ---- path prediction bit-identity ----
 
-template <typename Model>
-void expect_path_matches_stepwise(Model& model, std::size_t alphabet) {
-  constexpr std::size_t kSteps = 12;
-  std::vector<Distribution> path;
-  model.predict_path_into(TickIndex{kSteps}, &path);
-  ASSERT_EQ(path.size(), kSteps);
-  for (std::size_t s = 0; s < kSteps; ++s) {
-    Distribution single(alphabet);
-    model.predict_into(TickIndex{s + 1}, &single);
-    for (std::size_t i = 0; i < alphabet; ++i)
-      EXPECT_EQ(path[s][i], single[i]) << "step " << s << " bin " << i;
-  }
-}
-
 TEST(ModelIntrospect, PredictPathBitIdenticalToPredictInto) {
+  constexpr std::size_t kSteps = 12;
   const auto seq = random_sequence(600, 4, 7);
-  MarkovChain simple(4);
-  simple.train(seq);
-  expect_path_matches_stepwise(simple, 4);
-
-  TwoDependentMarkov two(4);
-  two.train(seq);
-  expect_path_matches_stepwise(two, 4);
-
-  NDependentMarkov general(3, 4);
-  general.train(seq);
-  expect_path_matches_stepwise(general, 4);
+  for (std::size_t order : {1u, 2u, 3u}) {
+    MarkovBank bank(order, {4});
+    bank.train({seq});
+    std::vector<Distribution> dists, path;
+    bank.predict_into(TickIndex{kSteps}, &dists, &path);
+    ASSERT_EQ(path.size(), kSteps);
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      const Distribution single = bank.predict(TickIndex{s + 1})[0];
+      for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(path[s][i], single[i])
+            << "order " << order << " step " << s << " bin " << i;
+    }
+  }
 }
 
 // ---- classifier score fast path ----
