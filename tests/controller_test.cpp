@@ -2,9 +2,15 @@
 // through short fault scenarios.
 #include "core/controller.h"
 
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "obs/span_tracer.h"
 
 namespace prepare {
 namespace {
@@ -130,6 +136,80 @@ TEST(Controllers, RubisScenariosWork) {
     auto none = run_scenario(config);
     EXPECT_LT(prep.violation_time, none.violation_time * 0.5)
         << fault_kind_name(fault);
+  }
+}
+
+/// FNV-1a, folded over `n` bytes into `*h`.
+void fnv1a(std::uint64_t* h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    *h ^= bytes[i];
+    *h *= 1099511628211ULL;
+  }
+}
+
+/// Digest of one run's decision stream: every EventLog record (time
+/// bits, kind, subject, detail) followed by the span JSONL.
+std::uint64_t decision_stream_digest(const EventLog& events,
+                                     const obs::SpanTracer& tracer) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const Event& e : events.events()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &e.time, sizeof bits);
+    fnv1a(&h, &bits, sizeof bits);
+    const int kind = static_cast<int>(e.kind);
+    fnv1a(&h, &kind, sizeof kind);
+    fnv1a(&h, e.subject.data(), e.subject.size() + 1);
+    fnv1a(&h, e.detail.data(), e.detail.size() + 1);
+  }
+  std::ostringstream spans;
+  tracer.write_spans_jsonl(spans, "pin");
+  const std::string text = spans.str();
+  fnv1a(&h, text.data(), text.size());
+  return h;
+}
+
+// Every scheme on all six app x fault cells (seed 11, default
+// prevention mode) produces exactly the recorded decision stream. A
+// refactor of the controllers must keep these digests; a deliberate
+// decision change updates them and says why.
+TEST(Controllers, DecisionStreamsArePinned) {
+  const Scheme schemes[3] = {Scheme::kNoIntervention, Scheme::kReactive,
+                             Scheme::kPrepare};
+  const AppKind apps[2] = {AppKind::kSystemS, AppKind::kRubis};
+  const FaultKind faults[3] = {FaultKind::kMemoryLeak, FaultKind::kCpuHog,
+                               FaultKind::kBottleneck};
+  // [scheme][app * 3 + fault]
+  // No intervention logs nothing, so its digest is the FNV offset basis.
+  const std::uint64_t pinned[3][6] = {
+      {0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325,
+       0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325},
+      {0xf7a63f79d3d28e6f, 0x87ec619aedbda746, 0xbad88adbd5bc35a3,
+       0xcef31834b4376b54, 0x67470af6c766a406, 0x0aee99abc02e6869},
+      {0xf9d4c3cb72d85d3b, 0xc969f91fb1b9a2f0, 0xb40cb7da2b9f2491,
+       0x90e45e2ac06fb230, 0xa242f18cab4a5f03, 0x5707f485498121a5},
+  };
+  for (int s = 0; s < 3; ++s) {
+    for (int a = 0; a < 2; ++a) {
+      for (int f = 0; f < 3; ++f) {
+        ScenarioConfig config;
+        config.app = apps[a];
+        config.fault = faults[f];
+        config.scheme = schemes[s];
+        config.seed = 11;
+        obs::SpanTracer tracer;
+        config.tracer = &tracer;
+        const ScenarioResult result = run_scenario(config);
+        const std::uint64_t digest =
+            decision_stream_digest(result.events, tracer);
+        std::ostringstream hex;
+        hex << std::hex << "0x" << digest;
+        SCOPED_TRACE(std::string(scheme_name(schemes[s])) + " / " +
+                     app_kind_name(apps[a]) + " / " +
+                     fault_kind_name(faults[f]) + " -> " + hex.str());
+        EXPECT_EQ(digest, pinned[s][a * 3 + f]);
+      }
+    }
   }
 }
 
