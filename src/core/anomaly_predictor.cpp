@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "models/naive_bayes.h"
 #include "models/outlier.h"
 #include "models/tan.h"
 
@@ -82,8 +81,8 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
   data.abnormal.assign(abnormal.begin(), abnormal.end());
   switch (config_.classifier) {
     case ClassifierKind::kNaiveBayes:
-      classifier_ =
-          std::make_unique<NaiveBayesClassifier>(config_.classifier_alpha);
+      classifier_ = std::make_unique<TanClassifier>(config_.classifier_alpha,
+                                                    /*tree=*/false);
       break;
     case ClassifierKind::kOutlier:
       classifier_ = std::make_unique<OutlierClassifier>(
@@ -199,16 +198,11 @@ bool AnomalyPredictor::ready() const {
 }
 
 AnomalyPredictor::Result AnomalyPredictor::predict(TickIndex steps) const {
-  return predict(steps, /*with_horizon=*/true);
-}
-
-AnomalyPredictor::Result AnomalyPredictor::predict(TickIndex steps,
-                                                   bool with_horizon) const {
   // Cold wrapper: tests and one-shot callers get a fresh Result; the
   // controller's per-round fan-out calls predict_into() with a reused
   // slot instead.
   Result out;
-  predict_into(steps, with_horizon, &out);
+  predict_into(steps, /*with_horizon=*/true, &out);
   return out;
 }
 

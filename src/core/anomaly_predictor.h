@@ -25,9 +25,11 @@
 
 namespace prepare {
 
-/// kOutlier is the Section V extension: an unsupervised tree-structured
-/// density model that flags never-seen states, enabling prediction of
-/// anomaly types absent from the training data (at reduced specificity).
+/// kNaiveBayes is the TAN classifier without its tree (every attribute's
+/// only parent is the class). kOutlier is the Section V extension: an
+/// unsupervised tree-structured density model that flags never-seen
+/// states, enabling prediction of anomaly types absent from the training
+/// data (at reduced specificity).
 enum class ClassifierKind { kNaiveBayes, kTan, kOutlier };
 
 struct PredictorConfig {
@@ -135,20 +137,17 @@ class AnomalyPredictor {
   /// introspector attached this also fills Result::horizon_probs (the
   /// scored per-step horizon path).
   Result predict(TickIndex steps) const;
-  /// predict() with the horizon-path decision made by the caller: the
-  /// controller resolves ModelIntrospect::calibration_due() once per
-  /// round on the driver thread and passes it here, so the (more
-  /// expensive) scored path runs only on sampled calibration rounds and
-  /// the worker-side predict never touches the driver-confined
-  /// introspector. `with_horizon` is ignored when no introspector is
-  /// attached.
-  Result predict(TickIndex steps, bool with_horizon) const;
-  /// The steady-state prediction path: same result as predict(steps,
-  /// with_horizon), written into `out` (non-null) so the controller's
-  /// per-VM fan-out reuses one Result slot per VM instead of allocating
-  /// fresh vectors every round. PREPARE_HOT: the analyzer proves this
-  /// transitively allocation-, lock- and IO-free (the value-returning
-  /// predict() overloads above are thin cold wrappers).
+  /// The steady-state prediction path, written into `out` (non-null) so
+  /// the controller's per-VM fan-out reuses one Result slot per VM
+  /// instead of allocating fresh vectors every round. The horizon-path
+  /// decision is the caller's: the controller resolves
+  /// ModelIntrospect::calibration_due() once per round on the driver
+  /// thread and passes it here, so the (more expensive) scored path runs
+  /// only on sampled calibration rounds and the worker-side predict
+  /// never touches the driver-confined introspector. `with_horizon` is
+  /// ignored when no introspector is attached. PREPARE_HOT: the
+  /// analyzer proves this transitively allocation-, lock- and IO-free
+  /// (the value-returning predict() above is a thin cold wrapper).
   PREPARE_HOT void predict_into(TickIndex steps, bool with_horizon,
                                 Result* out) const;
 

@@ -43,6 +43,17 @@ std::vector<std::pair<std::string, double>> top_metric_attrs(
   return top;
 }
 
+/// With prediction off there is no look-ahead to calibrate and no
+/// prediction evidence to record, so the introspector and the flight
+/// recorder are dropped from the controller's context.
+ControllerContext observers_for(ControllerContext ctx, bool predict) {
+  if (!predict) {
+    ctx.introspect = nullptr;
+    ctx.recorder = nullptr;
+  }
+  return ctx;
+}
+
 }  // namespace
 
 AnomalyManager::AnomalyManager(ControllerContext ctx) : ctx_(ctx) {
@@ -75,35 +86,34 @@ void AnomalyManager::labeled_rows(const std::string& vm_name, double t0,
   }
 }
 
-std::vector<double> AnomalyManager::latest_row(
-    const std::string& vm_name) const {
-  const auto samples = ctx_.store->last_samples(vm_name, 1);
-  PREPARE_CHECK_MSG(!samples.empty(), "no samples for VM " + vm_name);
-  return to_row(samples.back());
-}
-
 // ---------------------------------------------------------------- PREPARE
 
 PrepareController::PrepareController(ControllerContext ctx,
                                      PrepareConfig config)
-    : AnomalyManager(ctx),
+    : PrepareController(ctx, config, /*predict=*/true) {}
+
+PrepareController::PrepareController(ControllerContext ctx,
+                                     PrepareConfig config, bool predict)
+    : AnomalyManager(observers_for(ctx, predict)),
       config_(config),
+      predict_(predict),
       lookahead_steps_(TickIndex{static_cast<std::size_t>(std::max(
           1.0,
           std::round(config.lookahead_s / config.sampling_interval_s)))}),
       inference_(vm_names(), config.inference),
-      actuator_(ctx.hypervisor, ctx.cluster, ctx.store, ctx.log,
-                config.prevention, ctx.metrics, ctx.tracer, ctx.recorder),
-      profiler_(ctx.metrics),
-      pool_(ctx.num_threads > 1 ? std::make_unique<ThreadPool>(ctx.num_threads)
-                                : nullptr) {
+      actuator_(ctx_.hypervisor, ctx_.cluster, ctx_.store, ctx_.log,
+                config.prevention, ctx_.metrics, ctx_.tracer, ctx_.recorder),
+      profiler_(ctx_.metrics),
+      pool_(predict && ctx_.num_threads > 1
+                ? std::make_unique<ThreadPool>(ctx_.num_threads)
+                : nullptr) {
   const auto names = attribute_feature_names();
-  if (ctx.introspect != nullptr) {
-    ctx.introspect->set_horizon(lookahead_steps_.value(),
-                                config_.sampling_interval_s);
-    ctx.introspect->set_attribute_names(names);
+  if (ctx_.introspect != nullptr) {
+    ctx_.introspect->set_horizon(lookahead_steps_.value(),
+                                 config_.sampling_interval_s);
+    ctx_.introspect->set_attribute_names(names);
   }
-  if (ctx.recorder != nullptr) {
+  if (ctx_.recorder != nullptr) {
     obs::DecisionConfig decision;
     decision.filter_k = config_.filter_k;
     decision.filter_w = config_.filter_w;
@@ -112,27 +122,28 @@ PrepareController::PrepareController(ControllerContext ctx,
     decision.companion_scaling = config_.prevention.companion_scaling;
     decision.lookahead_s = config_.lookahead_s;
     decision.sampling_interval_s = config_.sampling_interval_s;
-    ctx.recorder->set_decision_config(decision);
+    ctx_.recorder->set_decision_config(decision);
     // The tracer owns the episode lifecycle; captures open and close
     // through its hooks.
-    if (ctx.tracer != nullptr) ctx.tracer->set_recorder(ctx.recorder);
+    if (ctx_.tracer != nullptr) ctx_.tracer->set_recorder(ctx_.recorder);
   }
   for (const auto& vm : vm_names()) {
     auto [it, inserted] =
         predictors_.emplace(vm, AnomalyPredictor(names, config_.predictor));
     if (inserted && profiler_.enabled()) it->second.set_profiler(&profiler_);
-    if (inserted && ctx.introspect != nullptr)
-      it->second.set_introspect(ctx.introspect);
+    if (inserted && ctx_.introspect != nullptr)
+      it->second.set_introspect(ctx_.introspect);
     filters_.emplace(vm, AlarmFilter(config_.filter_k, config_.filter_w));
   }
-  stage_alarm_filter_ = profiler_.stage(obs::kStageAlarmFilter);
+  if (predict_) stage_alarm_filter_ = profiler_.stage(obs::kStageAlarmFilter);
   stage_cause_inference_ = profiler_.stage(obs::kStageCauseInference);
   stage_prevention_ = profiler_.stage(obs::kStagePrevention);
-  raw_alerts_counter_ = obs::counter(ctx.metrics, "controller.raw_alerts_total");
+  raw_alerts_counter_ =
+      obs::counter(ctx_.metrics, "controller.raw_alerts_total");
   confirmed_alerts_counter_ =
-      obs::counter(ctx.metrics, "controller.confirmed_alerts_total");
+      obs::counter(ctx_.metrics, "controller.confirmed_alerts_total");
   reactive_fallbacks_counter_ =
-      obs::counter(ctx.metrics, "controller.reactive_fallbacks_total");
+      obs::counter(ctx_.metrics, "controller.reactive_fallbacks_total");
 }
 
 void PrepareController::train(double t0, double t1) {
@@ -176,8 +187,9 @@ void PrepareController::train(double t0, double t1) {
                           << " per-VM models over [" << t0 << ", " << t1
                           << "], " << discriminative_models
                           << " discriminative";
-  ctx_.log->record(t1, EventKind::kInfo, "prepare",
-                   "per-VM prediction models trained");
+  if (predict_)
+    ctx_.log->record(t1, EventKind::kInfo, "prepare",
+                     "per-VM prediction models trained");
 }
 
 void PrepareController::on_sample(double now) {
@@ -207,6 +219,106 @@ void PrepareController::on_sample(double now) {
     ctx_.tracer->tick(now);
   }
 
+  // 2. Per-VM prediction and false-alarm filtering (prediction on only).
+  std::map<std::string, Classification> alerting;
+  std::set<std::string> unhealthy;
+  if (predict_) predict_round(now, &alerting, &unhealthy);
+
+  // 3. Reactive fallback: the SLO is already violated — diagnose from
+  //    the current samples too, in case prediction missed (or confirmed
+  //    only a bystander VM). The diagnosis covers every VM classifying
+  //    abnormal with real attribution evidence; if none qualifies, the
+  //    single most suspicious VM is acted on (the paper always
+  //    intervenes once a violation is detected).
+  std::map<std::string, Classification> reactive;
+  if (ctx_.slo->currently_violated()) {
+    obs::inc(reactive_fallbacks_counter_);
+    PREPARE_INFO("prepare") << "SLO violated at t=" << now
+                            << ": entering reactive fallback diagnosis";
+    Classification best;
+    std::string best_vm;
+    for (auto& [vm, predictor] : predictors_) {
+      if (!predictor.trained()) continue;
+      const auto cls = predictor.classify_current();
+      // Any VM that still classifies abnormal keeps its open validation
+      // "unhealthy" — otherwise a drifting pick would bogusly mark
+      // earlier preventions as effective mid-violation.
+      if (cls.abnormal) unhealthy.insert(vm);
+      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact)
+        reactive.emplace(vm, cls);
+      if (actuator_.validation_open(vm)) continue;
+      if (best_vm.empty() || cls.score > best.score) {
+        best = cls;
+        best_vm = vm;
+      }
+    }
+    if (reactive.empty() && !best_vm.empty()) {
+      reactive.emplace(best_vm, best);
+      unhealthy.insert(best_vm);
+    }
+    if (ctx_.tracer != nullptr)
+      for (const auto& [vm, cls] : reactive)
+        ctx_.tracer->reactive_alert(vm, now);
+  }
+
+  // 4. Validation of earlier preventions.
+  {
+    obs::ScopedTimer timer(stage_prevention_);
+    actuator_.on_sample(now, unhealthy);
+  }
+
+  // 5. Cause inference + actuation over the union of confirmed
+  //    predictions and reactive diagnoses (a confirmed VM keeps its
+  //    predicted classification).
+  alerting.merge(reactive);
+  if (alerting.empty()) return;
+  Diagnosis diagnosis;
+  {
+    obs::ScopedTimer timer(stage_cause_inference_);
+    diagnosis = inference_.diagnose(alerting);
+    diagnosis.workload_change =
+        predict_ && inference_.workload_change_suspected(now);
+  }
+  if (diagnosis.workload_change) {
+    PREPARE_INFO("prepare") << "change points on all components at t=" << now
+                            << ": workload change suspected";
+    ctx_.log->record(now, EventKind::kInfo, "prepare",
+                     "change points on all components: workload change "
+                     "suspected");
+  }
+  if (ctx_.tracer != nullptr) {
+    if (diagnosis.workload_change) {
+      // Not a VM fault: the episodes are dropped from the trace. The
+      // actuation below still runs unchanged — suppression is an
+      // observability decision, not a behavior change.
+      for (const auto& faulty : diagnosis.faulty)
+        ctx_.tracer->workload_change_suppressed(faulty.vm, now);
+    } else {
+      for (const auto& faulty : diagnosis.faulty) {
+        ctx_.tracer->cause_inferred(faulty.vm, now,
+                                    top_metric_attrs(faulty));
+        // Full attribution ranking into the open capture (cold path:
+        // at most one diagnosis per episode is kept).
+        if (ctx_.recorder != nullptr) {
+          std::vector<std::size_t> ranked(faulty.ranked.size());
+          for (std::size_t r = 0; r < ranked.size(); ++r)
+            ranked[r] = static_cast<std::size_t>(faulty.ranked[r]);
+          ctx_.recorder->record_diagnosis(faulty.vm, now, ranked.data(),
+                                          faulty.impacts.data(),
+                                          ranked.size());
+        }
+      }
+    }
+  }
+  {
+    obs::ScopedTimer timer(stage_prevention_);
+    for (const auto& faulty : diagnosis.faulty) actuator_.actuate(faulty, now);
+  }
+}
+
+void PrepareController::predict_round(
+    double now, std::map<std::string, Classification>* confirmed,
+    std::set<std::string>* unhealthy) {
   // Calibration round: resolve the pending horizon predictions whose
   // target round is this one against the realized SLO state (the same
   // outcome definition the Labeler uses for training labels), then open
@@ -214,16 +326,15 @@ void PrepareController::on_sample(double now) {
   if (ctx_.introspect != nullptr)
     ctx_.introspect->begin_round(now, ctx_.slo->currently_violated());
 
-  // 2. Per-VM prediction and false-alarm filtering. The models are
-  //    independent per VM (paper Section III) and predict() only reads
-  //    predictor state, so the Markov look-ahead + TAN classification
-  //    fan out across the worker pool; the only shared state they touch
-  //    is the thread-safe obs:: instruments. The fan-out stage draws no
-  //    randomness — a future stochastic stage must fork one Rng stream
-  //    per VM (Rng::fork) before fanning out, never share an engine.
-  //    Alerts, filter pushes, and log records are then applied serially
-  //    below in deterministic (map) VM order, so a parallel run is
-  //    bit-identical to a sequential one.
+  // The models are independent per VM (paper Section III) and predict()
+  // only reads predictor state, so the Markov look-ahead + TAN
+  // classification fan out across the worker pool; the only shared
+  // state they touch is the thread-safe obs:: instruments. The fan-out
+  // stage draws no randomness — a future stochastic stage must fork one
+  // Rng stream per VM (Rng::fork) before fanning out, never share an
+  // engine. Alerts, filter pushes, and log records are then applied
+  // serially below in deterministic (map) VM order, so a parallel run is
+  // bit-identical to a sequential one.
   auto& active = active_;
   auto& results = results_;
   active.clear();
@@ -254,8 +365,6 @@ void PrepareController::on_sample(double now) {
     for (std::size_t i = 0; i < active.size(); ++i) predict_one(i);
   }
 
-  std::map<std::string, Classification> confirmed;
-  std::set<std::string> unhealthy;
   for (std::size_t i = 0; i < active.size(); ++i) {
     const std::string& vm = *active[i].first;
     const auto& result = results[i];
@@ -281,8 +390,8 @@ void PrepareController::on_sample(double now) {
     if (vm_confirmed) {
       ++confirmed_alerts_;
       obs::inc(confirmed_alerts_counter_);
-      confirmed.emplace(vm, result.classification);
-      unhealthy.insert(vm);
+      confirmed->emplace(vm, result.classification);
+      unhealthy->insert(vm);
       PREPARE_INFO("prepare") << "confirmed predicted anomaly on " << vm
                               << " at t=" << now;
       ctx_.log->record(now, EventKind::kAlertConfirmed, vm,
@@ -329,204 +438,5 @@ void PrepareController::on_sample(double now) {
       if (predictor.trained()) predictor.report_model_state();
     ctx_.introspect->end_probe();
   }
-
-  // 3. Reactive fallback: the SLO is already violated — diagnose from
-  //    the current samples too, in case prediction missed (or confirmed
-  //    only a bystander VM). The diagnosis covers every VM classifying
-  //    abnormal with real attribution evidence; if none qualifies, the
-  //    single most suspicious VM is acted on (the paper always
-  //    intervenes once a violation is detected).
-  std::map<std::string, Classification> reactive;
-  if (ctx_.slo->currently_violated()) {
-    ++reactive_fallbacks_;
-    obs::inc(reactive_fallbacks_counter_);
-    PREPARE_INFO("prepare") << "SLO violated at t=" << now
-                            << ": entering reactive fallback diagnosis";
-    Classification best;
-    std::string best_vm;
-    for (auto& [vm, predictor] : predictors_) {
-      if (!predictor.trained()) continue;
-      const auto cls = predictor.classify_current();
-      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact) {
-        reactive.emplace(vm, cls);
-        unhealthy.insert(vm);
-      }
-      if (actuator_.validation_open(vm)) continue;
-      if (best_vm.empty() || cls.score > best.score) {
-        best = cls;
-        best_vm = vm;
-      }
-    }
-    if (reactive.empty() && !best_vm.empty()) {
-      reactive.emplace(best_vm, best);
-      unhealthy.insert(best_vm);
-    }
-    if (ctx_.tracer != nullptr)
-      for (const auto& [vm, cls] : reactive)
-        ctx_.tracer->reactive_alert(vm, now);
-  }
-
-  // A violated SLO also keeps the acted VMs "unhealthy" for validation.
-  if (ctx_.slo->currently_violated())
-    for (auto& [vm, predictor] : predictors_)
-      if (predictor.trained() && predictor.classify_current().abnormal)
-        unhealthy.insert(vm);
-
-  // 4. Validation of earlier preventions.
-  {
-    obs::ScopedTimer timer(stage_prevention_);
-    actuator_.on_sample(now, unhealthy);
-  }
-
-  // 5. Cause inference + actuation over the union of confirmed
-  //    predictions and reactive diagnoses.
-  std::map<std::string, Classification> alerting = confirmed;
-  alerting.insert(reactive.begin(), reactive.end());
-  if (alerting.empty()) return;
-  Diagnosis diagnosis;
-  {
-    obs::ScopedTimer timer(stage_cause_inference_);
-    diagnosis = inference_.diagnose(alerting);
-    diagnosis.workload_change = inference_.workload_change_suspected(now);
-  }
-  if (diagnosis.workload_change) {
-    PREPARE_INFO("prepare") << "change points on all components at t=" << now
-                            << ": workload change suspected";
-    ctx_.log->record(now, EventKind::kInfo, "prepare",
-                     "change points on all components: workload change "
-                     "suspected");
-  }
-  if (ctx_.tracer != nullptr) {
-    if (diagnosis.workload_change) {
-      // Not a VM fault: the episodes are dropped from the trace. The
-      // actuation below still runs unchanged — suppression is an
-      // observability decision, not a behavior change.
-      for (const auto& faulty : diagnosis.faulty)
-        ctx_.tracer->workload_change_suppressed(faulty.vm, now);
-    } else {
-      for (const auto& faulty : diagnosis.faulty) {
-        ctx_.tracer->cause_inferred(faulty.vm, now,
-                                    top_metric_attrs(faulty));
-        // Full attribution ranking into the open capture (cold path:
-        // at most one diagnosis per episode is kept).
-        if (ctx_.recorder != nullptr) {
-          std::vector<std::size_t> ranked(faulty.ranked.size());
-          for (std::size_t r = 0; r < ranked.size(); ++r)
-            ranked[r] = static_cast<std::size_t>(faulty.ranked[r]);
-          ctx_.recorder->record_diagnosis(faulty.vm, now, ranked.data(),
-                                          faulty.impacts.data(),
-                                          ranked.size());
-        }
-      }
-    }
-  }
-  {
-    obs::ScopedTimer timer(stage_prevention_);
-    for (const auto& faulty : diagnosis.faulty) actuator_.actuate(faulty, now);
-  }
 }
-
-// ---------------------------------------------------------------- reactive
-
-ReactiveController::ReactiveController(ControllerContext ctx,
-                                       PrepareConfig config)
-    : AnomalyManager(ctx),
-      config_(config),
-      inference_(vm_names(), config.inference),
-      actuator_(ctx.hypervisor, ctx.cluster, ctx.store, ctx.log,
-                config.prevention, ctx.metrics, ctx.tracer),
-      profiler_(ctx.metrics) {
-  const auto names = attribute_feature_names();
-  for (const auto& vm : vm_names()) {
-    auto [it, inserted] =
-        predictors_.emplace(vm, AnomalyPredictor(names, config_.predictor));
-    if (inserted && profiler_.enabled()) it->second.set_profiler(&profiler_);
-  }
-  stage_cause_inference_ = profiler_.stage(obs::kStageCauseInference);
-  stage_prevention_ = profiler_.stage(obs::kStagePrevention);
-}
-
-void ReactiveController::train(double t0, double t1) {
-  std::vector<std::vector<double>> rows;
-  std::vector<bool> abnormal;
-  for (auto& [vm, predictor] : predictors_) {
-    labeled_rows(vm, t0, t1, &rows, &abnormal);
-    if (rows.empty()) continue;
-    predictor.train(rows, abnormal);
-  }
-  trained_ = true;
-}
-
-void ReactiveController::on_sample(double now) {
-  for (const auto& vm : vm_names()) {
-    const auto samples = ctx_.store->last_samples(vm, 1);
-    if (samples.empty()) continue;
-    {
-      obs::ScopedTimer timer(stage_cause_inference_);
-      inference_.observe(vm, now, samples.back());
-    }
-    if (trained_) {
-      auto it = predictors_.find(vm);
-      if (it != predictors_.end() && it->second.trained())
-        it->second.observe(
-            std::vector<double>(samples.back().begin(),
-                                samples.back().end()));
-    }
-  }
-  if (!trained_) return;
-
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->observe_slo(now, ctx_.slo->currently_violated());
-    ctx_.tracer->tick(now);
-  }
-
-  // Diagnose every abnormal-classifying VM with attribution evidence;
-  // fall back to the single most suspicious VM (see PrepareController's
-  // reactive path for the rationale).
-  std::map<std::string, Classification> alerting;
-  std::set<std::string> unhealthy;
-  if (ctx_.slo->currently_violated()) {
-    Classification best;
-    std::string best_vm;
-    for (auto& [vm, predictor] : predictors_) {
-      if (!predictor.trained()) continue;
-      const auto cls = predictor.classify_current();
-      // Any VM that still classifies abnormal keeps its open validation
-      // "unhealthy" — otherwise a drifting pick would bogusly mark
-      // earlier preventions as effective mid-violation.
-      if (cls.abnormal) unhealthy.insert(vm);
-      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact) {
-        alerting.emplace(vm, cls);
-      } else if (!actuator_.validation_open(vm) &&
-                 (best_vm.empty() || cls.score > best.score)) {
-        best = cls;
-        best_vm = vm;
-      }
-    }
-    if (alerting.empty() && !best_vm.empty()) alerting.emplace(best_vm, best);
-    for (const auto& [vm, cls] : alerting) unhealthy.insert(vm);
-    if (ctx_.tracer != nullptr)
-      for (const auto& [vm, cls] : alerting)
-        ctx_.tracer->reactive_alert(vm, now);
-  }
-
-  {
-    obs::ScopedTimer timer(stage_prevention_);
-    actuator_.on_sample(now, unhealthy);
-  }
-  if (alerting.empty()) return;
-  Diagnosis diagnosis;
-  {
-    obs::ScopedTimer timer(stage_cause_inference_);
-    diagnosis = inference_.diagnose(alerting);
-  }
-  if (ctx_.tracer != nullptr)
-    for (const auto& faulty : diagnosis.faulty)
-      ctx_.tracer->cause_inferred(faulty.vm, now, top_metric_attrs(faulty));
-  {
-    obs::ScopedTimer timer(stage_prevention_);
-    for (const auto& faulty : diagnosis.faulty) actuator_.actuate(faulty, now);
-  }
-}
-
 }  // namespace prepare

@@ -5,8 +5,9 @@
 //    predictive prevention actuation, with a reactive fallback when the
 //    predictor misses (Section II-D) and online prevention validation.
 //  * ReactiveController — the paper's "reactive intervention" baseline:
-//    identical cause-inference and actuation modules, but everything is
-//    triggered only after an SLO violation has been detected.
+//    the same PrepareController round with prediction off, so cause
+//    inference and actuation are triggered only by the violated-SLO
+//    fallback, after a violation has been detected.
 //  * NoInterventionManager — the "without intervention" baseline.
 //
 // Controllers are driven by the experiment loop: once per sampling
@@ -16,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,8 +64,8 @@ struct ControllerContext {
   /// detection. Same confinement contract as the tracer — the per-VM
   /// fan-out only fills Result::horizon_probs in its own result slot;
   /// every introspector call happens in the serial sections, in
-  /// deterministic VM order. Only the PrepareController drives it (the
-  /// reactive baseline has no look-ahead to calibrate).
+  /// deterministic VM order. Driven only with prediction on (the
+  /// reactive baseline has no look-ahead to calibrate and ignores it).
   obs::ModelIntrospect* introspect = nullptr;
   /// Optional episode flight recorder (must outlive the controller).
   /// Same confinement contract again: the controller registers every
@@ -72,8 +74,9 @@ struct ControllerContext {
   /// ranking; the actuator (which the controller hands the recorder to)
   /// adds one PreventionEvidence per action attempt. Episode captures
   /// open/close via the SpanTracer's lifecycle hooks, so the recorder
-  /// is inert unless `tracer` is also set. Only the PrepareController
-  /// drives it (the reactive baseline has no prediction evidence).
+  /// is inert unless `tracer` is also set. Driven only with prediction
+  /// on (the reactive baseline has no prediction evidence and ignores
+  /// it).
   obs::FlightRecorder* recorder = nullptr;
   /// Worker threads for the per-VM prediction fan-out (PREPARE keeps
   /// one independent model per VM, so the Markov look-ahead + TAN
@@ -122,8 +125,6 @@ class AnomalyManager {
   void labeled_rows(const std::string& vm_name, double t0, double t1,
                     std::vector<std::vector<double>>* rows,
                     std::vector<bool>* abnormal) const;
-  /// Latest monitoring sample of a VM as a feature row.
-  std::vector<double> latest_row(const std::string& vm_name) const;
   std::vector<std::string> vm_names() const;
 
   ControllerContext ctx_;
@@ -143,20 +144,36 @@ class PrepareController : public AnomalyManager {
 
   void train(double t0, double t1) override;
   void on_sample(double now) override;
-  std::string name() const override { return "prepare"; }
+  std::string name() const override {
+    return predict_ ? "prepare" : "reactive";
+  }
 
   bool trained() const { return trained_; }
   const PrepareConfig& config() const { return config_; }
-  const PreventionActuator& actuator() const { return actuator_; }
-  const CauseInference& inference() const { return inference_; }
 
   // Counters for experiments / tests.
   std::size_t raw_alerts() const { return raw_alerts_; }
   std::size_t confirmed_alerts() const { return confirmed_alerts_; }
-  std::size_t reactive_fallbacks() const { return reactive_fallbacks_; }
+
+ protected:
+  /// `predict` = false runs the round without its predictive parts: no
+  /// look-ahead fan-out (so no raw or confirmed alerts), no
+  /// introspection or flight-recorder feeds (ctx.introspect and
+  /// ctx.recorder are ignored), and no workload-change screen. The
+  /// violated-SLO fallback then triggers every diagnosis and action.
+  PrepareController(ControllerContext ctx, PrepareConfig config,
+                    bool predict);
 
  private:
+  /// The predictive part of a round: look-ahead fan-out, k-of-W
+  /// filtering, introspection and evidence feeds. Adds each VM with a
+  /// confirmed alert to `confirmed` and `unhealthy`.
+  void predict_round(double now,
+                     std::map<std::string, Classification>* confirmed,
+                     std::set<std::string>* unhealthy);
+
   PrepareConfig config_;
+  bool predict_;
   TickIndex lookahead_steps_;
   bool trained_ = false;
 
@@ -169,7 +186,8 @@ class PrepareController : public AnomalyManager {
   CauseInference inference_;
   PreventionActuator actuator_;
   obs::StageProfiler profiler_;
-  /// Workers for the per-VM fan-out; null when num_threads <= 1.
+  /// Workers for the per-VM fan-out; null when num_threads <= 1 or
+  /// prediction is off.
   std::unique_ptr<ThreadPool> pool_;
   /// Per-round fan-out state, kept across rounds so the steady state
   /// allocates nothing: the ready-and-discriminative predictors of this
@@ -181,7 +199,6 @@ class PrepareController : public AnomalyManager {
 
   std::size_t raw_alerts_ = 0;
   std::size_t confirmed_alerts_ = 0;
-  std::size_t reactive_fallbacks_ = 0;
 
   // Observability handles (null = uninstrumented).
   obs::Histogram* stage_alarm_filter_ = nullptr;
@@ -192,27 +209,14 @@ class PrepareController : public AnomalyManager {
   obs::Counter* reactive_fallbacks_counter_ = nullptr;
 };
 
-class ReactiveController : public AnomalyManager {
+/// The paper's reactive-intervention baseline (Section II-D): PREPARE's
+/// own cause inference and prevention, applied only after an SLO
+/// violation has been detected.
+class ReactiveController : public PrepareController {
  public:
   ReactiveController(ControllerContext ctx,
-                     PrepareConfig config = PrepareConfig());
-
-  void train(double t0, double t1) override;
-  void on_sample(double now) override;
-  std::string name() const override { return "reactive"; }
-
-  bool trained() const { return trained_; }
-  const PreventionActuator& actuator() const { return actuator_; }
-
- private:
-  PrepareConfig config_;
-  bool trained_ = false;
-  std::map<std::string, AnomalyPredictor> predictors_;
-  CauseInference inference_;
-  PreventionActuator actuator_;
-  obs::StageProfiler profiler_;
-  obs::Histogram* stage_cause_inference_ = nullptr;
-  obs::Histogram* stage_prevention_ = nullptr;
+                     PrepareConfig config = PrepareConfig())
+      : PrepareController(ctx, config, /*predict=*/false) {}
 };
 
 }  // namespace prepare

@@ -39,10 +39,6 @@ PreventionActuator::PreventionActuator(Hypervisor* hypervisor,
                       std::make_pair(vm->cpu_alloc(), vm->mem_alloc()));
 }
 
-bool PreventionActuator::has_baseline(const std::string& vm_name) const {
-  return baseline_.count(vm_name) != 0;
-}
-
 PreventionActuator::MetricKind PreventionActuator::kind_of(Attribute a) {
   switch (a) {
     case Attribute::kCpuUtil:

@@ -111,12 +111,6 @@ class PreventionActuator {
 
   /// Whether a validation is currently open for the VM.
   bool validation_open(const std::string& vm_name) const;
-  /// Whether any validation is open (used to serialize the reactive
-  /// diagnose-act-validate loop: one hypothesis at a time).
-  bool any_validation_open() const { return !pending_.empty(); }
-
-  /// Baseline (construction-time) allocation of a VM, if known.
-  bool has_baseline(const std::string& vm_name) const;
 
   const PreventionConfig& config() const { return config_; }
 

@@ -8,7 +8,8 @@
 
 namespace prepare {
 
-TanClassifier::TanClassifier(double alpha) : alpha_(alpha) {
+TanClassifier::TanClassifier(double alpha, bool tree)
+    : alpha_(alpha), tree_(tree) {
   PREPARE_CHECK(alpha > 0.0);
 }
 
@@ -17,7 +18,10 @@ void TanClassifier::train(const LabeledDataset& data) {
   PREPARE_CHECK(data.rows.size() == data.abnormal.size());
   PREPARE_CHECK(data.attributes() >= 1);
   alphabet_ = data.alphabet;
-  learn_structure(data);
+  if (tree_)
+    learn_structure(data);
+  else
+    parents_.assign(data.attributes(), kNoParent);
   learn_cpts(data);
   trained_ = true;
   build_impact_tables();

@@ -13,6 +13,12 @@
 //
 // is exposed for both concrete samples and predicted value distributions;
 // Classification::score is exactly the left-hand side of Eq. (1).
+//
+// Without the tree (every attribute's only parent is the class) this is
+// the naive Bayes classifier of the authors' earlier ALERT work [10],
+// kept for the TAN-vs-NB ablation: the paper adopts TAN because naive
+// Bayes "cannot provide the metric attribution information accurately"
+// (Section II-B).
 #pragma once
 
 #include <array>
@@ -26,7 +32,9 @@ namespace prepare {
 
 class TanClassifier : public Classifier {
  public:
-  explicit TanClassifier(double alpha = 1.0);
+  /// `tree` = false skips structure learning and leaves every attribute
+  /// at kNoParent: naive Bayes.
+  explicit TanClassifier(double alpha = 1.0, bool tree = true);
 
   void train(const LabeledDataset& data) override;
   bool trained() const override { return trained_; }
@@ -53,7 +61,8 @@ class TanClassifier : public Classifier {
   Probability prior(bool abnormal) const;
 
   /// Class-conditional mutual information I(A_i; A_j | C) from the last
-  /// training set (exposed for tests; symmetric).
+  /// training set (exposed for tests; symmetric). Only learned with the
+  /// tree.
   double conditional_mutual_information(std::size_t i, std::size_t j) const;
 
  private:
@@ -67,6 +76,7 @@ class TanClassifier : public Classifier {
   }
 
   double alpha_;
+  bool tree_;
   bool trained_ = false;
   std::vector<std::size_t> alphabet_;
   std::vector<std::size_t> parents_;

@@ -17,7 +17,6 @@
 #include "core/experiment.h"
 #include "models/discretizer.h"
 #include "models/markov_bank.h"
-#include "models/naive_bayes.h"
 #include "models/tan.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
@@ -252,7 +251,7 @@ TEST(ModelIntrospect, ScoreMatchesClassifyExactly) {
   const auto data = synthetic_dataset();
   TanClassifier tan;
   tan.train(data);
-  NaiveBayesClassifier nb;
+  TanClassifier nb(1.0, /*tree=*/false);
   nb.train(data);
   for (std::size_t i = 0; i < data.rows.size(); i += 17) {
     EXPECT_EQ(tan.score(data.rows[i]).value(),
