@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -50,16 +51,19 @@ class Logger {
   /// Writes one formatted record to the sink under the emission mutex.
   static void emit(const std::string& text);
 
-  /// Sink for one formatted record; flushes on destruction.
+  /// Sink for one formatted record; flushes on destruction. A record
+  /// below the level builds no stream, so it costs only the level check.
   class Record {
    public:
-    Record(LogLevel level, const char* tag) : enabled_(level >= Logger::level()) {
-      if (enabled_) os_ << "[" << name(level) << "] " << tag << ": ";
+    Record(LogLevel level, const char* tag) {
+      if (level < Logger::level()) return;
+      os_ = std::make_unique<std::ostringstream>();
+      *os_ << "[" << name(level) << "] " << tag << ": ";
     }
     ~Record() {
-      if (enabled_) {
-        os_ << "\n";
-        Logger::emit(os_.str());
+      if (os_) {
+        *os_ << "\n";
+        Logger::emit(os_->str());
       }
     }
     Record(const Record&) = delete;
@@ -67,7 +71,7 @@ class Logger {
 
     template <typename T>
     Record& operator<<(const T& value) {
-      if (enabled_) os_ << value;
+      if (os_) *os_ << value;
       return *this;
     }
 
@@ -81,8 +85,7 @@ class Logger {
         default: return "?";
       }
     }
-    bool enabled_;
-    std::ostringstream os_;
+    std::unique_ptr<std::ostringstream> os_;  ///< non-null iff enabled
   };
 
  private:

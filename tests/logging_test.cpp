@@ -36,6 +36,13 @@ TEST_F(LoggingTest, RecordsAtOrAboveTheLevelAreWritten) {
   EXPECT_EQ(out.back(), '\n');
 }
 
+TEST_F(LoggingTest, EnabledRecordIsExactlyOneLine) {
+  Logger::set_level(LogLevel::kDebug);
+  PREPARE_WARN("tag") << "a=" << 1.5 << ' ' << std::string("b");
+  PREPARE_DEBUG("t2");
+  EXPECT_EQ(captured(), "[warn] tag: a=1.5 b\n[debug] t2: \n");
+}
+
 TEST_F(LoggingTest, RecordsBelowTheLevelAreSuppressed) {
   Logger::set_level(LogLevel::kWarn);
   PREPARE_INFO("test") << "hidden";
