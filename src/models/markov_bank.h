@@ -13,12 +13,15 @@
 //
 // The bank runs that look-ahead for all attributes at once. Attributes
 // are packed 16 to a lane group; the smoothed transition rows are stored
-// lane-major, P[state][next][lane], so one step for one destination
-// state is a handful of 16-wide multiply-adds held in registers. Every
-// context index uses the widest alphabet of the bank as its radix;
-// narrower alphabets and the unused lanes of the last group are padded
-// with all-zero rows that no state ever reaches. See DESIGN.md §11 for
-// why the result is bit-identical to a per-attribute scalar push.
+// lane-major, P[state][next][lane], each 128-byte row on a cache line,
+// so one step loads a source state's 16 lanes once and multiply-adds
+// them into several destination states held in registers, at the
+// widest vector width the CPU supports (markov_kernel.h). Every context
+// index uses the widest alphabet of the bank as its radix; narrower
+// alphabets and the unused lanes of the last group are padded with
+// all-zero rows that no state ever reaches. See DESIGN.md §11 for why
+// the result is bit-identical to a per-attribute scalar push, at every
+// vector width.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +30,7 @@
 #include "common/analyze_annotations.h"
 #include "common/units.h"
 #include "models/distribution.h"
+#include "models/markov_kernel.h"
 
 namespace prepare {
 
@@ -89,11 +93,8 @@ class MarkovBank {
   RowStats row_stats(std::size_t attribute) const;
 
  private:
-  /// Two lanes of doubles in one 128-bit register: SSE2 on baseline
-  /// x86-64, NEON on aarch64.
-  typedef double LanePair __attribute__((vector_size(16)));
-  static constexpr std::size_t kLanes = 16;
-  static constexpr std::size_t kPairs = kLanes / 2;
+  using LaneRow = markov_kernel::LaneRow;
+  static constexpr std::size_t kLanes = markov_kernel::kLanes;
   /// Bound on width^(order+1), the cells of one lane's table.
   static constexpr std::size_t kMaxCellsPerLane = std::size_t{1} << 16;
 
@@ -116,7 +117,7 @@ class MarkovBank {
   void rebuild_rows();
   /// Writes the lane group's marginal distributions of state vector `v`
   /// to out[0..lanes).
-  void marginalize(const LanePair* v, std::size_t first, std::size_t lanes,
+  void marginalize(const LaneRow* v, std::size_t first, std::size_t lanes,
                    Distribution* out) const;
 
   std::size_t order_;
@@ -127,15 +128,16 @@ class MarkovBank {
   std::size_t groups_ = 0;  ///< lane groups of kLanes attributes
   /// Raw transition counts, [attribute][context][next].
   std::vector<double> counts_;
-  /// Smoothed transition rows, [group][context][next][lane pair].
-  std::vector<LanePair> probs_;
+  /// Smoothed transition rows, [group][context][next].
+  std::vector<LaneRow> probs_;
   /// Per-attribute rolling context index (radix width_).
   std::vector<std::size_t> context_;
   std::size_t seen_ = 0;  ///< rows observed, saturating at order_
-  /// Per-predict ping-pong state vectors of one lane group,
-  /// [context][lane pair], sized in the constructor so the look-ahead
-  /// allocates nothing.
-  mutable std::vector<LanePair> scratch_v_, scratch_next_;
+  /// The widest step kernel this CPU runs, picked at construction.
+  markov_kernel::Kernel kernel_;
+  /// Per-predict ping-pong state vectors of one lane group, [context],
+  /// sized in the constructor so the look-ahead allocates nothing.
+  mutable std::vector<LaneRow> scratch_v_, scratch_next_;
 };
 
 }  // namespace prepare

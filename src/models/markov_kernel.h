@@ -1,0 +1,45 @@
+// The look-ahead step of MarkovBank at each vector width the CPU may
+// offer, and the CPU query that picks one (DESIGN.md §11). Internal to
+// the bank: it lives in its own header so tests can run every kernel the
+// host supports against the 16-byte baseline.
+#pragma once
+
+#include <cstddef>
+
+namespace prepare {
+namespace markov_kernel {
+
+/// Attributes per lane group.
+inline constexpr std::size_t kLanes = 16;
+
+/// The 16 lane masses of one state, or the 16 lane probabilities of one
+/// (state, next) transition row: 128 bytes that start on a cache line.
+struct alignas(64) LaneRow {
+  double lane[kLanes];
+};
+
+/// A step instantiation, named by its bytes per vector register.
+enum class Kernel {
+  k16 = 16,  ///< SSE2 on baseline x86-64, NEON on aarch64
+  k32 = 32,  ///< AVX2, x86-64 only
+  k64 = 64,  ///< AVX-512F, x86-64 only
+};
+
+/// Whether this CPU runs `kernel`, with the OS saving its registers.
+bool supported(Kernel kernel);
+/// The widest supported kernel.
+Kernel widest_supported();
+
+/// One look-ahead step of one lane group with `kernel`, which must be
+/// supported(). `v` and `next` hold one row per state (stride * width of
+/// them), `probs` one per (state, next symbol), [state][symbol]. A
+/// destination (x2..xn, c) = tail * width + c gathers its sources
+/// (x1, x2..xn) = x1 * stride + tail, so per lane
+///   next[dest] = ((+0.0 + v[src_0] * P_0) + v[src_1] * P_1) + ...
+/// over x1 ascending, with P_x1 = probs[src_x1 * width + c]. Every
+/// kernel evaluates exactly that expression, so all give the same bits.
+void step(Kernel kernel, const LaneRow* v, const LaneRow* probs,
+          std::size_t width, std::size_t stride, LaneRow* next);
+
+}  // namespace markov_kernel
+}  // namespace prepare

@@ -8,12 +8,15 @@
 // bit-for-bit against a per-attribute scalar Chapman–Kolmogorov push
 // built from the public transition(), across orders, bank widths (one
 // lane group, exactly one, one past it, several), mixed alphabets and
-// horizons.
+// horizons. The bank runs the widest step kernel the host supports;
+// the MarkovKernel suites pin every other kernel the host can run to
+// the 16-byte one.
 #include "models/markov_bank.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "models/discretizer.h"
+#include "models/markov_kernel.h"
 
 namespace prepare {
 namespace {
@@ -537,6 +541,148 @@ TEST(MarkovBank, RetrainResetsCountsAndContext) {
   EXPECT_EQ(p[1].mode(), 2u);
   EXPECT_THROW(bank.train({{0, 1}}), CheckFailure);          // one sequence
   EXPECT_THROW(bank.train({{0, 1}, {0, 1, 2}}), CheckFailure);  // lengths
+}
+
+// ---- the step kernels ----
+
+using markov_kernel::Kernel;
+using markov_kernel::LaneRow;
+
+std::string kernel_name(Kernel kernel) {
+  return std::to_string(static_cast<int>(kernel)) + "-byte";
+}
+
+/// One lane group's inputs to a step at radix `width` and `order`. Lane
+/// l has its own alphabet 2..width; its transition cells beyond that
+/// alphabet, and the rows of states that hold such a symbol, are zero,
+/// as the bank pads them. Its state masses are one-hot (l % 3 == 0),
+/// random with exact zeros at about half the states (l % 3 == 1) or
+/// random everywhere.
+struct StepInputs {
+  std::size_t width = 0, stride = 0;
+  std::vector<LaneRow> v, probs;
+};
+
+StepInputs step_inputs(std::size_t width, std::size_t order, Rng& rng) {
+  StepInputs in;
+  std::size_t states = 1;
+  for (std::size_t i = 0; i < order; ++i) states *= width;
+  in.width = width;
+  in.stride = states / width;
+  in.v.assign(states, LaneRow{});
+  in.probs.assign(states * width, LaneRow{});
+  for (std::size_t l = 0; l < markov_kernel::kLanes; ++l) {
+    const std::size_t alphabet = 2 + l % (width - 1);
+    std::vector<std::size_t> reachable;
+    for (std::size_t x = 0; x < states; ++x) {
+      bool inside = true;
+      for (std::size_t rest = x; rest > 0; rest /= width)
+        inside = inside && rest % width < alphabet;
+      if (!inside) continue;
+      reachable.push_back(x);
+      double total = 0.0;
+      for (std::size_t c = 0; c < alphabet; ++c) {
+        const double weight = rng.uniform(0.01, 1.0);
+        in.probs[x * width + c].lane[l] = weight;
+        total += weight;
+      }
+      for (std::size_t c = 0; c < alphabet; ++c)
+        in.probs[x * width + c].lane[l] /= total;
+    }
+    if (l % 3 == 0) {
+      const auto pick = rng.uniform_int(
+          0, static_cast<std::int64_t>(reachable.size()) - 1);
+      in.v[reachable[static_cast<std::size_t>(pick)]].lane[l] = 1.0;
+      continue;
+    }
+    for (std::size_t x : reachable)
+      if (l % 3 == 2 || rng.chance(0.5))
+        in.v[x].lane[l] = rng.uniform(0.0, 1.0);
+  }
+  return in;
+}
+
+/// Three chained steps of `kernel`, each from its own previous output.
+std::vector<std::vector<LaneRow>> three_steps(Kernel kernel,
+                                              const StepInputs& in) {
+  std::vector<std::vector<LaneRow>> out;
+  const std::vector<LaneRow>* v = &in.v;
+  for (int s = 0; s < 3; ++s) {
+    std::vector<LaneRow> next(in.v.size(), LaneRow{});
+    markov_kernel::step(kernel, v->data(), in.probs.data(), in.width,
+                        in.stride, next.data());
+    out.push_back(std::move(next));
+    v = &out.back();
+  }
+  return out;
+}
+
+/// Parameter: a kernel's bytes per vector.
+class MarkovKernelWidths : public ::testing::TestWithParam<int> {};
+
+// Every wider kernel the host runs matches the 16-byte kernel bit for
+// bit at radix 2..8 (the odd ones leave destinations after the last
+// full chunk) and orders 1..3.
+TEST_P(MarkovKernelWidths, MatchBaselineBitwise) {
+  const auto kernel = static_cast<Kernel>(GetParam());
+  if (!markov_kernel::supported(kernel))
+    GTEST_SKIP() << kernel_name(kernel) << " kernel not supported here";
+  RecordProperty("kernel", kernel_name(kernel));
+  Rng rng(41);
+  for (std::size_t width = 2; width <= 8; ++width) {
+    for (std::size_t order = 1; order <= 3; ++order) {
+      const StepInputs in = step_inputs(width, order, rng);
+      const auto expected = three_steps(Kernel::k16, in);
+      const auto got = three_steps(kernel, in);
+      for (std::size_t s = 0; s < got.size(); ++s)
+        for (std::size_t x = 0; x < in.v.size(); ++x)
+          for (std::size_t l = 0; l < markov_kernel::kLanes; ++l)
+            ASSERT_EQ(got[s][x].lane[l], expected[s][x].lane[l])
+                << "width " << width << " order " << order << " step "
+                << s + 1 << " state " << x << " lane " << l;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MarkovKernelWidths,
+                         ::testing::Values(32, 64));
+
+// The 16-byte kernel evaluates the sum markov_kernel.h documents.
+TEST(MarkovKernel, BaselineIsTheDocumentedSum) {
+  Rng rng(43);
+  for (std::size_t width = 2; width <= 8; ++width) {
+    for (std::size_t order = 1; order <= 3; ++order) {
+      const StepInputs in = step_inputs(width, order, rng);
+      std::vector<LaneRow> next(in.v.size(), LaneRow{});
+      markov_kernel::step(Kernel::k16, in.v.data(), in.probs.data(), width,
+                          in.stride, next.data());
+      for (std::size_t tail = 0; tail < in.stride; ++tail)
+        for (std::size_t c = 0; c < width; ++c)
+          for (std::size_t l = 0; l < markov_kernel::kLanes; ++l) {
+            double sum = +0.0;
+            for (std::size_t x1 = 0; x1 < width; ++x1) {
+              const std::size_t src = x1 * in.stride + tail;
+              sum += in.v[src].lane[l] * in.probs[src * width + c].lane[l];
+            }
+            ASSERT_EQ(next[tail * width + c].lane[l], sum)
+                << "width " << width << " order " << order << " tail "
+                << tail << " symbol " << c << " lane " << l;
+          }
+    }
+  }
+}
+
+// The bank runs the widest kernel the host supports; record which.
+TEST(MarkovKernel, WidestSupportedIsTheWidest) {
+  const Kernel widest = markov_kernel::widest_supported();
+  EXPECT_TRUE(markov_kernel::supported(widest));
+  EXPECT_TRUE(markov_kernel::supported(Kernel::k16));
+  for (Kernel kernel : {Kernel::k16, Kernel::k32, Kernel::k64}) {
+    if (markov_kernel::supported(kernel)) {
+      EXPECT_LE(static_cast<int>(kernel), static_cast<int>(widest));
+    }
+  }
+  RecordProperty("dispatched", kernel_name(widest));
 }
 
 }  // namespace
