@@ -42,22 +42,16 @@ double attribution_hit_rate(const ScenarioResult& trace,
   PredictorConfig config;
   config.classifier = classifier;
   AnomalyPredictor predictor(names, config);
-  std::vector<std::vector<double>> rows;
-  std::vector<bool> abnormal;
-  for (const auto& s :
-       Labeler::label(trace.store, trace.slo, trace.faulty_vm, 0, 700)) {
-    rows.emplace_back(s.values.begin(), s.values.end());
-    abnormal.push_back(s.abnormal);
-  }
-  predictor.train(rows, abnormal);
+  const LabeledSamples samples =
+      Labeler::label(trace.store, trace.slo, trace.faulty_vm, 0, 700);
+  predictor.train(samples.columns, samples.abnormal);
 
   std::size_t checked = 0, hits = 0;
   const std::size_t total = trace.store.sample_count(trace.faulty_vm);
   for (std::size_t i = 0; i < total; ++i) {
     const double t = trace.store.sample_time(trace.faulty_vm, i);
     if (t <= 700.0) continue;
-    const auto v = trace.store.sample(trace.faulty_vm, i);
-    predictor.observe(std::vector<double>(v.begin(), v.end()));
+    predictor.observe(trace.store.sample(trace.faulty_vm, i));
     if (!trace.slo.violated_at(t)) continue;
     const auto cls = predictor.classify_current();
     const auto order = Classifier::ranked_attributes(cls);

@@ -51,7 +51,7 @@ constexpr std::size_t kBins = 5;
 
 /// 600 samples x 13 attributes of leak-shaped training data.
 struct TrainingData {
-  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> columns;  // per attribute
   std::vector<bool> abnormal;
   std::vector<std::vector<std::size_t>> symbol_columns;  // per attribute
 };
@@ -60,23 +60,22 @@ const TrainingData& training_data() {
   static const TrainingData data = [] {
     TrainingData out;
     Rng rng(17);
+    out.columns.resize(kAttributeCount);
     for (std::size_t i = 0; i < kTrainingSamples; ++i) {
       const bool abnormal = i > 400 && i < 480;
-      std::vector<double> row;
       for (std::size_t a = 0; a < kAttributeCount; ++a) {
         double base = 50.0 + 10.0 * static_cast<double>(a);
         if (abnormal) base *= 1.8;
         if (i > 340 && i <= 480) base += static_cast<double>(i - 340);
-        row.push_back(base + rng.gaussian(0.0, 2.0));
+        out.columns[a].push_back(base + rng.gaussian(0.0, 2.0));
       }
-      out.rows.push_back(std::move(row));
       out.abnormal.push_back(abnormal);
     }
     out.symbol_columns.resize(kAttributeCount);
     for (std::size_t a = 0; a < kAttributeCount; ++a)
       for (std::size_t i = 0; i < kTrainingSamples; ++i)
         out.symbol_columns[a].push_back(
-            static_cast<std::size_t>(out.rows[i][a]) % kBins);
+            static_cast<std::size_t>(out.columns[a][i]) % kBins);
     return out;
   }();
   return data;
@@ -102,8 +101,7 @@ void markov_training(benchmark::State& state, std::size_t order) {
   const auto& data = training_data();
   const std::vector<std::size_t> alphabets(kAttributeCount, kBins);
   for (auto _ : state) {
-    MarkovBank bank(order, alphabets);
-    bank.train(data.symbol_columns);
+    MarkovBank bank(order, alphabets, 0.5, data.symbol_columns);
     benchmark::DoNotOptimize(bank);
   }
 }
@@ -144,7 +142,7 @@ void BM_FullPredictorTraining600(benchmark::State& state) {
     names.push_back(attribute_name(static_cast<Attribute>(a)));
   for (auto _ : state) {
     AnomalyPredictor predictor(names);
-    predictor.train(data.rows, data.abnormal);
+    predictor.train(data.columns, data.abnormal);
     benchmark::DoNotOptimize(predictor);
   }
 }
@@ -158,7 +156,7 @@ void BM_AnomalyPrediction(benchmark::State& state) {
   for (std::size_t a = 0; a < kAttributeCount; ++a)
     names.push_back(attribute_name(static_cast<Attribute>(a)));
   AnomalyPredictor predictor(names);
-  predictor.train(data.rows, data.abnormal);
+  predictor.train(data.columns, data.abnormal);
   for (auto _ : state) {
     const auto result = predictor.predict(TickIndex{6});
     benchmark::DoNotOptimize(

@@ -30,15 +30,11 @@ int main() {
   for (std::size_t a = 0; a < kAttributeCount; ++a)
     features.push_back(attribute_name(static_cast<Attribute>(a)));
   AnomalyPredictor predictor(features);
-  std::vector<std::vector<double>> rows;
-  std::vector<bool> abnormal;
-  for (const auto& s : Labeler::label(trace.store, trace.slo, vm, 0, 700)) {
-    rows.emplace_back(s.values.begin(), s.values.end());
-    abnormal.push_back(s.abnormal);
-  }
-  predictor.train(rows, abnormal);
+  const LabeledSamples samples =
+      Labeler::label(trace.store, trace.slo, vm, 0, 700);
+  predictor.train(samples.columns, samples.abnormal);
   std::printf("trained on %zu samples (train TPR %.0f%%, %s)\n\n",
-              rows.size(), predictor.train_tpr() * 100.0,
+              samples.size(), predictor.train_tpr() * 100.0,
               predictor.discriminative() ? "discriminative"
                                          : "non-discriminative");
 
@@ -51,7 +47,7 @@ int main() {
     const double t = trace.store.sample_time(vm, i);
     if (t <= 700.0) continue;
     const auto sample = trace.store.sample(vm, i);
-    predictor.observe(std::vector<double>(sample.begin(), sample.end()));
+    predictor.observe(sample);
     if (!predictor.ready() || static_cast<long>(t) % 25 != 0) continue;
     if (t > 1120.0) break;
     const auto result = predictor.predict(TickIndex{24});  // 120 s at 5 s sampling

@@ -69,18 +69,20 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
     return row;
   };
 
-  // Train on [0, train_end].
+  // Train on [0, train_end], one column per feature.
   for (std::size_t m = 0; m < models; ++m) {
-    std::vector<std::vector<double>> rows;
+    std::vector<std::vector<double>> columns(predictors[m].feature_count());
     std::vector<bool> abnormal;
     for (std::size_t i = 0; i < total; ++i) {
       const double t = store.sample_time(vm_names[0], i);
       if (t > config.train_end) break;
-      rows.push_back(row_for(m, i));
+      const std::vector<double> row = row_for(m, i);
+      for (std::size_t f = 0; f < row.size(); ++f) columns[f].push_back(row[f]);
       abnormal.push_back(slo.violated_at(t));
     }
-    PREPARE_CHECK_MSG(!rows.empty(), "no training samples before train_end");
-    predictors[m].train(rows, abnormal);
+    PREPARE_CHECK_MSG(!abnormal.empty(),
+                      "no training samples before train_end");
+    predictors[m].train(columns, abnormal);
   }
 
   // Replay the test window.

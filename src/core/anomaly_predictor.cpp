@@ -16,32 +16,32 @@ AnomalyPredictor::AnomalyPredictor(std::vector<std::string> feature_names,
   PREPARE_CHECK(config_.bins >= 2);
 }
 
-void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
+void AnomalyPredictor::train(std::span<const std::vector<double>> columns,
                              const std::vector<bool>& abnormal) {
-  PREPARE_CHECK_MSG(!rows.empty(), "empty training set");
-  PREPARE_CHECK(rows.size() == abnormal.size());
   const std::size_t n = names_.size();
+  PREPARE_CHECK_EQ(columns.size(), n) << "one training column per feature";
+  PREPARE_CHECK_MSG(!abnormal.empty(), "empty training set");
+  for (std::size_t i = 0; i < n; ++i)
+    PREPARE_CHECK_EQ(columns[i].size(), abnormal.size())
+        << "training column " << i << " does not align with the labels";
 
-  // Fit one discretizer per feature. With fit_on_normal the bin range
-  // comes from normal-labeled samples only (anomaly extremes clamp to
-  // the edge bins); the full columns still train the value predictors.
+  // Fit one discretizer per feature, discretizing its column in the same
+  // sweep. With fit_on_normal the bin range comes from normal-labeled
+  // samples only (anomaly extremes clamp to the edge bins); every sample
+  // still trains the value predictors.
+  const bool any_normal =
+      std::find(abnormal.begin(), abnormal.end(), false) != abnormal.end();
+  const std::vector<bool>* exclude =
+      config_.fit_on_normal && any_normal ? &abnormal : nullptr;
   discretizers_.assign(
       n, Discretizer(config_.bins, config_.discretizer, 0.05,
                      config_.guard_bins));
-  std::vector<std::vector<double>> columns(n);
-  std::vector<std::vector<double>> fit_columns(n);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    PREPARE_CHECK(row.size() == n);
-    for (std::size_t i = 0; i < n; ++i) {
-      columns[i].push_back(row[i]);
-      if (!config_.fit_on_normal || !abnormal[r])
-        fit_columns[i].push_back(row[i]);
-    }
-  }
+  LabeledDataset data;
+  data.alphabet.resize(n);
+  std::vector<std::vector<std::size_t>> sequences(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (fit_columns[i].empty()) fit_columns[i] = columns[i];
-    discretizers_[i].fit(fit_columns[i]);
+    discretizers_[i].fit(columns[i], exclude, &sequences[i]);
+    data.alphabet[i] = discretizers_[i].bins();
   }
   if (introspect_ != nullptr) {
     // Training-time bin occupancy is the drift detector's baseline; the
@@ -61,24 +61,16 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
 
   // Train the value predictors on the discretized sequences. Alphabets
   // are per-feature: quantile discretization merges ties.
-  LabeledDataset data;
-  data.alphabet.resize(n);
-  std::vector<std::vector<std::size_t>> sequences(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    data.alphabet[i] = discretizers_[i].bins();
-    sequences[i] = discretizers_[i].discretize(columns[i]);
-  }
-  bank_.emplace(config_.markov_order, data.alphabet, config_.markov_alpha);
-  bank_->train(sequences);
+  bank_.emplace(config_.markov_order, data.alphabet, config_.markov_alpha,
+                sequences);
 
   // Train the classifier on the same discretized rows + labels.
-  data.rows.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    std::vector<std::size_t> symbols(n);
-    for (std::size_t i = 0; i < n; ++i) symbols[i] = sequences[i][r];
-    data.rows.push_back(std::move(symbols));
+  data.rows.resize(abnormal.size());
+  for (std::size_t r = 0; r < abnormal.size(); ++r) {
+    data.rows[r].resize(n);
+    for (std::size_t i = 0; i < n; ++i) data.rows[r][i] = sequences[i][r];
   }
-  data.abnormal.assign(abnormal.begin(), abnormal.end());
+  data.abnormal = abnormal;
   switch (config_.classifier) {
     case ClassifierKind::kNaiveBayes:
       classifier_ = std::make_unique<TanClassifier>(config_.classifier_alpha,
@@ -110,10 +102,12 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
   // the classifier recover? A model that cannot separate the classes it
   // was trained on has nothing to say about the future either.
   std::size_t ab_total = 0, ab_hit = 0;
+  Classification cls;
   for (std::size_t r = 0; r < data.rows.size(); ++r) {
     if (!data.abnormal[r]) continue;
     ++ab_total;
-    if (classifier_->classify(data.rows[r]).abnormal) ++ab_hit;
+    classifier_->classify_into(data.rows[r], &cls);
+    if (cls.abnormal) ++ab_hit;
   }
   train_tpr_ = ab_total == 0
                    ? 1.0
@@ -175,12 +169,12 @@ void AnomalyPredictor::report_model_state() const {
   introspect_->probe_classifier(cpt.support_min, cpt.log_odds_spread);
 }
 
-void AnomalyPredictor::observe(const std::vector<double>& row) {
+void AnomalyPredictor::observe(std::span<const double> row) {
   PREPARE_CHECK_MSG(trained_, "observe() before train()");
   PREPARE_CHECK(row.size() == names_.size());
   obs::ScopedTimer timer(stage_discretize_);
   last_row_.resize(row.size());
-  if (capture_evidence_) last_raw_row_ = row;
+  if (capture_evidence_) last_raw_row_.assign(row.begin(), row.end());
   for (std::size_t i = 0; i < row.size(); ++i)
     last_row_[i] = discretizers_[i].discretize(row[i]);
   bank_->observe(last_row_, config_.online_learning);

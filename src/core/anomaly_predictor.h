@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,14 +86,15 @@ class AnomalyPredictor {
                    PredictorConfig config = PredictorConfig());
 
   /// Trains discretizers, value predictors and the classifier from
-  /// labeled feature rows. Rows must align with `abnormal`.
-  void train(const std::vector<std::vector<double>>& rows,
+  /// labeled feature columns: columns[i][r] is feature i of sample r,
+  /// one column per feature, each aligned with `abnormal`.
+  void train(std::span<const std::vector<double>> columns,
              const std::vector<bool>& abnormal);
   bool trained() const { return trained_; }
 
-  /// Feeds one runtime sample (advances every feature's Markov context).
-  /// Only valid after train().
-  void observe(const std::vector<double>& row);
+  /// Feeds one runtime sample, one value per feature (advances every
+  /// feature's Markov context). Only valid after train().
+  void observe(std::span<const double> row);
 
   struct Result {
     Classification classification;

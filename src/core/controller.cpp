@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -12,10 +13,6 @@
 namespace prepare {
 
 namespace {
-
-std::vector<double> to_row(const AttributeVector& v) {
-  return std::vector<double>(v.begin(), v.end());
-}
 
 std::vector<std::string> attribute_feature_names() {
   std::vector<std::string> names;
@@ -43,6 +40,13 @@ std::vector<std::pair<std::string, double>> top_metric_attrs(
   return top;
 }
 
+std::vector<std::string> app_vm_names(const Application* app) {
+  PREPARE_CHECK(app != nullptr);
+  std::vector<std::string> names;
+  for (const Vm* vm : app->vms()) names.push_back(vm->name());
+  return names;
+}
+
 /// With prediction off there is no look-ahead to calibrate and no
 /// prediction evidence to record, so the introspector and the flight
 /// recorder are dropped from the controller's context.
@@ -56,34 +60,13 @@ ControllerContext observers_for(ControllerContext ctx, bool predict) {
 
 }  // namespace
 
-AnomalyManager::AnomalyManager(ControllerContext ctx) : ctx_(ctx) {
-  PREPARE_CHECK(ctx.app != nullptr);
+AnomalyManager::AnomalyManager(ControllerContext ctx)
+    : ctx_(ctx), vm_names_(app_vm_names(ctx.app)) {
   PREPARE_CHECK(ctx.cluster != nullptr);
   PREPARE_CHECK(ctx.hypervisor != nullptr);
   PREPARE_CHECK(ctx.store != nullptr);
   PREPARE_CHECK(ctx.slo != nullptr);
   PREPARE_CHECK(ctx.log != nullptr);
-}
-
-std::vector<std::string> AnomalyManager::vm_names() const {
-  std::vector<std::string> names;
-  for (const Vm* vm : ctx_.app->vms()) names.push_back(vm->name());
-  return names;
-}
-
-void AnomalyManager::labeled_rows(const std::string& vm_name, double t0,
-                                  double t1,
-                                  std::vector<std::vector<double>>* rows,
-                                  std::vector<bool>* abnormal) const {
-  const auto samples = Labeler::label(*ctx_.store, *ctx_.slo, vm_name, t0, t1);
-  rows->clear();
-  abnormal->clear();
-  rows->reserve(samples.size());
-  abnormal->reserve(samples.size());
-  for (const auto& s : samples) {
-    rows->push_back(to_row(s.values));
-    abnormal->push_back(s.abnormal);
-  }
 }
 
 // ---------------------------------------------------------------- PREPARE
@@ -100,7 +83,7 @@ PrepareController::PrepareController(ControllerContext ctx,
       lookahead_steps_(TickIndex{static_cast<std::size_t>(std::max(
           1.0,
           std::round(config.lookahead_s / config.sampling_interval_s)))}),
-      inference_(vm_names(), config.inference),
+      inference_(vm_names_, config.inference),
       actuator_(ctx_.hypervisor, ctx_.cluster, ctx_.store, ctx_.log,
                 config.prevention, ctx_.metrics, ctx_.tracer, ctx_.recorder),
       profiler_(ctx_.metrics),
@@ -127,7 +110,7 @@ PrepareController::PrepareController(ControllerContext ctx,
     // through its hooks.
     if (ctx_.tracer != nullptr) ctx_.tracer->set_recorder(ctx_.recorder);
   }
-  for (const auto& vm : vm_names()) {
+  for (const auto& vm : vm_names_) {
     auto [it, inserted] =
         predictors_.emplace(vm, AnomalyPredictor(names, config_.predictor));
     if (inserted && profiler_.enabled()) it->second.set_profiler(&profiler_);
@@ -147,13 +130,12 @@ PrepareController::PrepareController(ControllerContext ctx,
 }
 
 void PrepareController::train(double t0, double t1) {
-  std::vector<std::vector<double>> rows;
-  std::vector<bool> abnormal;
   std::size_t trained_models = 0, discriminative_models = 0;
   for (auto& [vm, predictor] : predictors_) {
-    labeled_rows(vm, t0, t1, &rows, &abnormal);
-    if (rows.empty()) continue;
-    predictor.train(rows, abnormal);
+    const LabeledSamples samples =
+        Labeler::label(*ctx_.store, *ctx_.slo, vm, t0, t1);
+    if (samples.size() == 0) continue;
+    predictor.train(samples.columns, samples.abnormal);
     ++trained_models;
     // Register the VM's evidence geometry with the flight recorder: the
     // flattened-distribution layout depends on the trained discretizer
@@ -195,17 +177,17 @@ void PrepareController::train(double t0, double t1) {
 void PrepareController::on_sample(double now) {
   // 1. Feed the newest samples into the predictors' Markov contexts and
   //    the workload-change detectors.
-  for (const auto& vm : vm_names()) {
-    const auto samples = ctx_.store->last_samples(vm, 1);
-    if (samples.empty()) continue;
+  for (const auto& vm : vm_names_) {
+    const std::optional<AttributeVector> sample = ctx_.store->latest_sample(vm);
+    if (!sample) continue;
     {
       obs::ScopedTimer timer(stage_cause_inference_);
-      inference_.observe(vm, now, samples.back());
+      inference_.observe(vm, now, *sample);
     }
     if (trained_) {
       auto it = predictors_.find(vm);
       if (it != predictors_.end() && it->second.trained())
-        it->second.observe(to_row(samples.back()));
+        it->second.observe(*sample);
     }
   }
   if (!trained_) return;

@@ -121,13 +121,9 @@ class AnomalyManager {
   virtual std::string name() const = 0;
 
  protected:
-  /// Labeled feature rows for one VM over [t0, t1].
-  void labeled_rows(const std::string& vm_name, double t0, double t1,
-                    std::vector<std::vector<double>>* rows,
-                    std::vector<bool>* abnormal) const;
-  std::vector<std::string> vm_names() const;
-
   ControllerContext ctx_;
+  /// The app's VMs, in its order (the VM set is fixed).
+  const std::vector<std::string> vm_names_;
 };
 
 class NoInterventionManager : public AnomalyManager {

@@ -75,15 +75,10 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
   std::map<std::string, AlarmFilter> filters;
   for (const auto& vm : vm_names) {
     AnomalyPredictor predictor(features, config.predictor);
-    std::vector<std::vector<double>> rows;
-    std::vector<bool> abnormal;
-    for (const auto& s :
-         Labeler::label(store, slo, vm, 0.0, config.train_end)) {
-      rows.emplace_back(s.values.begin(), s.values.end());
-      abnormal.push_back(s.abnormal);
-    }
-    PREPARE_CHECK_MSG(!rows.empty(), "no training samples for " + vm);
-    predictor.train(rows, abnormal);
+    const LabeledSamples samples =
+        Labeler::label(store, slo, vm, 0.0, config.train_end);
+    PREPARE_CHECK_MSG(samples.size() > 0, "no training samples for " + vm);
+    predictor.train(samples.columns, samples.abnormal);
     predictors.emplace(vm, std::move(predictor));
     filters.emplace(vm, AlarmFilter(config.filter_k, config.filter_w));
   }
@@ -102,8 +97,7 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
     }
     for (const auto& vm : vm_names) {
       auto& predictor = predictors.at(vm);
-      const auto values = store.sample(vm, i);
-      predictor.observe(std::vector<double>(values.begin(), values.end()));
+      predictor.observe(store.sample(vm, i));
       if (!predictor.ready() || !predictor.discriminative()) continue;
       const auto result = predictor.predict(TickIndex{steps});
       double top = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -17,18 +18,41 @@ Discretizer::Discretizer(std::size_t bins, DiscretizerKind kind,
   PREPARE_CHECK(margin >= 0.0);
 }
 
-void Discretizer::fit(const std::vector<double>& values) {
-  PREPARE_CHECK_MSG(!values.empty(), "cannot fit discretizer on empty data");
-  for (std::size_t i = 0; i < values.size(); ++i)
-    PREPARE_CHECK(std::isfinite(values[i]))
-        << "non-finite training value " << values[i] << " at index " << i;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  const double lo = sorted.front();
-  const double hi = sorted.back();
+void Discretizer::fit(const std::vector<double>& values,
+                      const std::vector<bool>* exclude,
+                      std::vector<std::size_t>* symbols) {
+  PREPARE_CHECK(exclude == nullptr || exclude->size() == values.size());
+  for (std::size_t r = 0; r < values.size(); ++r)
+    PREPARE_CHECK(std::isfinite(values[r]))
+        << "non-finite training value " << values[r] << " at index " << r;
+  const auto used = [&](std::size_t r) {
+    return exclude == nullptr || !(*exclude)[r];
+  };
+  // The used values' range (ties keep the first value seen). Equal-width
+  // grids need nothing else; only quantile cuts sort a copy.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  std::vector<double> sorted;
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    if (!used(r)) continue;
+    lo = std::min(lo, values[r]);
+    hi = std::max(hi, values[r]);
+    if (kind_ == DiscretizerKind::kQuantile) sorted.push_back(values[r]);
+  }
+  PREPARE_CHECK_MSG(lo <= hi, "cannot fit discretizer on empty data");
+  if (kind_ == DiscretizerKind::kQuantile) {
+    std::sort(sorted.begin(), sorted.end());
+    // The sorted ends, not the scanned ones: std::sort may put a zero of
+    // the other sign first or last, and a quantile grid's edge-bin
+    // center can carry that sign.
+    lo = sorted.front();
+    hi = sorted.back();
+  }
 
   cuts_.clear();
   uniform_grid_ = false;
+  // The range the interior cuts lie in.
+  double inner_lo = lo, inner_hi = hi;
   if (kind_ == DiscretizerKind::kEqualWidth) {
     double span = hi - lo;
     double xlo = lo, xhi = hi;
@@ -40,6 +64,8 @@ void Discretizer::fit(const std::vector<double>& values) {
     }
     xlo -= margin_ * span;
     xhi += margin_ * span;
+    inner_lo = xlo;
+    inner_hi = xhi;
     const double width = (xhi - xlo) / static_cast<double>(requested_bins_);
     for (std::size_t b = 1; b < requested_bins_; ++b)
       cuts_.push_back(xlo + width * static_cast<double>(b));
@@ -71,14 +97,14 @@ void Discretizer::fit(const std::vector<double>& values) {
 
   // Guard bins: cuts a margin beyond the observed data range, so only
   // values well outside anything seen in training land in dedicated,
-  // never-trained-on bins (the margin absorbs small-sample noise).
-  data_lo_ = lo;
-  data_hi_ = hi;
+  // never-trained-on bins (the margin absorbs small-sample noise). They
+  // also stay outside the interior cuts: a constant column's padded
+  // equal-width grid is wider than the pad.
   if (guard_bins_) {
     const double pad =
         std::max({1e-9, (hi - lo) * 2.0 * margin_, std::abs(hi) * 1e-9});
-    cuts_.insert(cuts_.begin(), lo - pad);
-    cuts_.push_back(hi + pad);
+    cuts_.insert(cuts_.begin(), std::min(lo - pad, inner_lo));
+    cuts_.push_back(std::max(hi + pad, inner_hi));
   }
 
   // Representative value per bin, derived from the actual cut geometry.
@@ -126,9 +152,15 @@ void Discretizer::fit(const std::vector<double>& values) {
 
   // Training-data occupancy per effective bin: the drift detector's
   // baseline for the bin-occupancy shift comparison. Recorded after
-  // fitted_ flips so discretize() is usable.
+  // fitted_ flips so discretize() is usable; every value is discretized
+  // once, for its symbol and its count.
   fit_counts_.assign(bins(), 0.0);
-  for (double v : values) fit_counts_[discretize(v)] += 1.0;
+  if (symbols != nullptr) symbols->resize(values.size());
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const std::size_t bin = bin_of(values[r]);
+    if (symbols != nullptr) (*symbols)[r] = bin;
+    if (used(r)) fit_counts_[bin] += 1.0;
+  }
 }
 
 std::size_t Discretizer::bins() const {
@@ -140,6 +172,10 @@ std::size_t Discretizer::discretize(double value) const {
   PREPARE_CHECK_MSG(fitted_, "discretizer used before fit()");
   PREPARE_CHECK(std::isfinite(value))
       << "cannot discretize non-finite value " << value;
+  return bin_of(value);
+}
+
+std::size_t Discretizer::bin_of(double value) const {
   // Bin i covers (cuts[i-1], cuts[i]]; values above the last cut land in
   // the top bin.
   const std::size_t m = cuts_.size();

@@ -37,8 +37,15 @@ class Discretizer {
                        DiscretizerKind kind = DiscretizerKind::kQuantile,
                        double margin = 0.05, bool guard_bins = false);
 
-  /// Learns bin boundaries from values.
-  void fit(const std::vector<double>& values);
+  /// Learns bin boundaries from `values`, skipping those whose
+  /// `exclude` flag is set (all are used when `exclude` is null), and
+  /// records the used values' occupancy in fit_counts(). With `symbols`,
+  /// also writes every value's bin to (*symbols)[r]: each value is
+  /// discretized once, for its symbol and its count. Every value must be
+  /// finite, and at least one must be used.
+  void fit(const std::vector<double>& values,
+           const std::vector<bool>* exclude = nullptr,
+           std::vector<std::size_t>* symbols = nullptr);
 
   /// Maps a value to its bin, clamping outliers to the edge bins.
   ///
@@ -72,11 +79,13 @@ class Discretizer {
   const std::vector<double>& fit_counts() const { return fit_counts_; }
 
  private:
+  /// discretize() of a value known to be finite, on a fitted grid.
+  std::size_t bin_of(double value) const;
+
   std::size_t requested_bins_;
   DiscretizerKind kind_;
   double margin_;
   bool guard_bins_;
-  double data_lo_ = 0.0, data_hi_ = 0.0;  // training range (guard bins)
   bool fitted_ = false;
   std::vector<double> cuts_;     ///< interior boundaries, ascending
   std::vector<double> centers_;  ///< representative value per bin

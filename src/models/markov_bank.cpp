@@ -120,7 +120,8 @@ void step(Kernel kernel, const LaneRow* v, const LaneRow* probs,
 }  // namespace markov_kernel
 
 MarkovBank::MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
-                       double alpha)
+                       double alpha,
+                       const std::vector<std::vector<std::size_t>>& sequences)
     : order_(order),
       alphabets_(std::move(alphabets)),
       alpha_(alpha),
@@ -150,7 +151,11 @@ MarkovBank::MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
     const auto address = reinterpret_cast<std::uintptr_t>(rows->data());
     PREPARE_CHECK(address % alignof(LaneRow) == 0) << "row at " << address;
   }
-  rebuild_rows();
+  // Each row is built once: from the training counts, or uniform.
+  if (sequences.empty())
+    rebuild_rows();
+  else
+    train(sequences);
 }
 
 std::size_t MarkovBank::alphabet(std::size_t attribute) const {
@@ -215,7 +220,11 @@ void MarkovBank::train(const std::vector<std::vector<std::size_t>>& sequences) {
     for (std::size_t t = 0; t < length; ++t) {
       PREPARE_CHECK(seq[t] < alphabets_[a]) << "attribute " << a;
       if (t >= order_) counts_[count_index(a, context, seq[t])] += 1.0;
-      context = (context % shift) * width_ + seq[t];
+      // Drop the oldest symbol, the most significant digit, by
+      // subtraction: it is still in the sequence, and `% shift` would
+      // put an integer division on the loop's dependency chain.
+      const std::size_t oldest = t >= order_ ? seq[t - order_] : 0;
+      context = (context - oldest * shift) * width_ + seq[t];
     }
     context_[a] = context;
   }

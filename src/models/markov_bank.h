@@ -52,9 +52,11 @@ class MarkovBank {
 
   /// `order` >= 1 context length; one attribute per `alphabets` entry
   /// (at least one), each >= 2 symbols; `alpha` > 0 is the Laplace
-  /// smoothing pseudo-count.
+  /// smoothing pseudo-count. With `sequences`, the bank starts as
+  /// train(sequences) leaves it; without, every row is uniform.
   MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
-             double alpha = 0.5);
+             double alpha = 0.5,
+             const std::vector<std::vector<std::size_t>>& sequences = {});
 
   /// Batch-trains every attribute on its symbol sequence
   /// (`sequences[i]` for attribute i, all of one length): resets the

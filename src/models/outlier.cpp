@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "common/stats.h"
@@ -19,93 +18,24 @@ OutlierClassifier::OutlierClassifier(double threshold_quantile, double alpha,
   PREPARE_CHECK(threshold_margin >= 1.0);
 }
 
-void OutlierClassifier::learn_structure(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  // Pairwise (unconditional) mutual information.
-  std::vector<std::vector<double>> mi(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t ki = alphabet_[i], kj = alphabet_[j];
-      std::vector<double> joint(ki * kj, alpha_);
-      std::vector<double> margin_i(ki, alpha_ * static_cast<double>(kj));
-      std::vector<double> margin_j(kj, alpha_ * static_cast<double>(ki));
-      double total = alpha_ * static_cast<double>(ki * kj);
-      for (const auto& row : data.rows) {
-        joint[row[i] * kj + row[j]] += 1.0;
-        margin_i[row[i]] += 1.0;
-        margin_j[row[j]] += 1.0;
-        total += 1.0;
-      }
-      double info = 0.0;
-      for (std::size_t vi = 0; vi < ki; ++vi)
-        for (std::size_t vj = 0; vj < kj; ++vj) {
-          const double p = joint[vi * kj + vj] / total;
-          if (p > 0.0)
-            info += p * std::log(p / (margin_i[vi] / total *
-                                      (margin_j[vj] / total)));
-        }
-      mi[i][j] = mi[j][i] = std::max(0.0, info);
-    }
-  }
-  // Maximum spanning tree (Prim) rooted at attribute 0.
-  parents_.assign(n, kNoParent);
-  if (n == 1) return;
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best_weight(n, -1.0);
-  std::vector<std::size_t> best_from(n, kNoParent);
-  in_tree[0] = true;
-  for (std::size_t j = 1; j < n; ++j) {
-    best_weight[j] = mi[0][j];
-    best_from[j] = 0;
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t pick = kNoParent;
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (best_weight[j] > best) {
-        best = best_weight[j];
-        pick = j;
-      }
-    }
-    in_tree[pick] = true;
-    parents_[pick] = best_from[pick];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (mi[pick][j] > best_weight[j]) {
-        best_weight[j] = mi[pick][j];
-        best_from[j] = pick;
-      }
-    }
-  }
-}
-
-void OutlierClassifier::learn_tables(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  table_.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t rows =
-        parents_[i] == kNoParent ? 1 : alphabet_[parents_[i]];
-    table_[i].assign(rows * alphabet_[i], 0.0);
-  }
-  for (const auto& row : data.rows) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t pv = parents_[i] == kNoParent ? 0 : row[parents_[i]];
-      table_[i][pv * alphabet_[i] + row[i]] += 1.0;
-    }
-  }
-}
-
 void OutlierClassifier::train(const LabeledDataset& data) {
   PREPARE_CHECK_MSG(!data.rows.empty(), "empty training set");
   PREPARE_CHECK(data.attributes() >= 1);
   alphabet_ = data.alphabet;
-  learn_structure(data);
-  learn_tables(data);
+  const std::size_t n = data.attributes();
+  // Chow-Liu tree over the pairwise (unconditional) mutual information,
+  // and each attribute's counts given its parent, from one pass.
+  const PairCounts counts(data, /*by_class=*/false, /*pairs=*/true);
+  std::vector<std::vector<double>> mi = counts.mutual_information(0, alpha_);
+  for (auto& row : mi)
+    for (double& info : row) info = std::max(0.0, info);
+  parents_ = max_spanning_tree(mi);
+  table_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    table_[i] = counts.conditional_table(0, i, parents_[i]);
   trained_ = true;
 
   // Baselines and decision threshold from the training data itself.
-  const std::size_t n = data.attributes();
   baseline_.assign(n, 0.0);
   std::vector<double> surprisals;
   surprisals.reserve(data.rows.size());

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/analyze_annotations.h"
+#include "models/chow_liu.h"
 #include "models/classifier.h"
 
 namespace prepare {
@@ -56,12 +57,10 @@ class OutlierClassifier : public Classifier {
   /// Total surprisal -log P(row) under the tree density.
   double surprisal(const std::vector<std::size_t>& row) const;
   double threshold() const { return threshold_; }
-  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoParent = kTreeRoot;
   const std::vector<std::size_t>& parents() const { return parents_; }
 
  private:
-  void learn_structure(const LabeledDataset& data);
-  void learn_tables(const LabeledDataset& data);
   /// -log P(a_i = v | parent value).
   double local_surprisal(std::size_t attribute, std::size_t value,
                          std::size_t parent_value) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
@@ -18,128 +17,54 @@ void TanClassifier::train(const LabeledDataset& data) {
   PREPARE_CHECK(data.rows.size() == data.abnormal.size());
   PREPARE_CHECK(data.attributes() >= 1);
   alphabet_ = data.alphabet;
+  // Everything below is a function of these counts: one pass over the
+  // rows, whatever the number of attribute pairs.
+  const PairCounts counts(data, /*by_class=*/true, /*pairs=*/tree_);
   if (tree_)
-    learn_structure(data);
+    learn_structure(counts);
   else
     parents_.assign(data.attributes(), kNoParent);
-  learn_cpts(data);
+  learn_cpts(counts);
   trained_ = true;
   build_impact_tables();
 }
 
-void TanClassifier::learn_structure(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
+void TanClassifier::learn_structure(const PairCounts& counts) {
+  const std::size_t n = alphabet_.size();
+  // I(A_i; A_j | C): each class's smoothed mutual information, floored
+  // at 0 and weighted by the (smoothed) class probability.
+  const std::array<std::vector<std::vector<double>>, 2> info_c = {
+      counts.mutual_information(0, alpha_),
+      counts.mutual_information(1, alpha_)};
+  const double size = static_cast<double>(counts.rows(0) + counts.rows(1));
+  std::array<double, 2> p_c{};
+  for (int c = 0; c < 2; ++c)
+    p_c[c] = (static_cast<double>(counts.rows(c)) + alpha_) /
+             (size + 2.0 * alpha_);
   cmi_.assign(n, std::vector<double>(n, 0.0));
-
-  // Class-conditional joint counts with Laplace smoothing, per pair. The
-  // count buffers live outside the loops and are re-initialized with
-  // assign() so each pair reuses one allocation.
-  std::vector<double> joint, mi, mj;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       double info = 0.0;
-      for (int c = 0; c < 2; ++c) {
-        // Count occurrences in class c.
-        const std::size_t ki = alphabet_[i], kj = alphabet_[j];
-        joint.assign(ki * kj, alpha_);
-        mi.assign(ki, alpha_ * static_cast<double>(kj));
-        mj.assign(kj, alpha_ * static_cast<double>(ki));
-        double total = alpha_ * static_cast<double>(ki * kj);
-        for (std::size_t r = 0; r < data.rows.size(); ++r) {
-          if ((data.abnormal[r] ? 1 : 0) != c) continue;
-          const std::size_t vi = data.rows[r][i];
-          const std::size_t vj = data.rows[r][j];
-          joint[vi * kj + vj] += 1.0;
-          mi[vi] += 1.0;
-          mj[vj] += 1.0;
-          total += 1.0;
-        }
-        // Weight by the (smoothed) class probability.
-        const double n_c =
-            static_cast<double>(std::count(data.abnormal.begin(),
-                                           data.abnormal.end(), c == 1));
-        const double p_c =
-            (n_c + alpha_) / (static_cast<double>(data.size()) + 2.0 * alpha_);
-        double info_c = 0.0;
-        for (std::size_t vi = 0; vi < ki; ++vi) {
-          for (std::size_t vj = 0; vj < kj; ++vj) {
-            const double p_joint = joint[vi * kj + vj] / total;
-            const double p_i = mi[vi] / total;
-            const double p_j = mj[vj] / total;
-            if (p_joint > 0.0)
-              info_c += p_joint * std::log(p_joint / (p_i * p_j));
-          }
-        }
-        info += p_c * std::max(0.0, info_c);
-      }
+      for (int c = 0; c < 2; ++c)
+        info += p_c[c] * std::max(0.0, info_c[c][i][j]);
       cmi_[i][j] = cmi_[j][i] = info;
     }
   }
-
-  // Maximum-weight spanning tree (Prim), rooted at attribute 0; the
-  // traversal order fixes edge orientation: parent = the tree vertex
-  // through which a vertex was attached.
-  parents_.assign(n, kNoParent);
-  if (n == 1) return;
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best_weight(n, -1.0);
-  std::vector<std::size_t> best_from(n, kNoParent);
-  in_tree[0] = true;
-  for (std::size_t j = 1; j < n; ++j) {
-    best_weight[j] = cmi_[0][j];
-    best_from[j] = 0;
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t pick = kNoParent;
-    double pick_weight = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (best_weight[j] > pick_weight) {
-        pick_weight = best_weight[j];
-        pick = j;
-      }
-    }
-    PREPARE_DCHECK(pick != kNoParent);
-    in_tree[pick] = true;
-    parents_[pick] = best_from[pick];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (cmi_[pick][j] > best_weight[j]) {
-        best_weight[j] = cmi_[pick][j];
-        best_from[j] = pick;
-      }
-    }
-  }
+  // Maximum-weight spanning tree rooted at attribute 0; the traversal
+  // order fixes edge orientation.
+  parents_ = max_spanning_tree(cmi_);
 }
 
-void TanClassifier::learn_cpts(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  class_counts_ = {0.0, 0.0};
+void TanClassifier::learn_cpts(const PairCounts& counts) {
+  // A CPT cell counts the rows of its class with the attribute and its
+  // parent at the cell's values: a count the one pass already made.
+  const std::size_t n = alphabet_.size();
   for (int c = 0; c < 2; ++c) {
-    cpt_[c].assign(n, {});
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t rows =
-          parents_[i] == kNoParent ? 1 : alphabet_[parents_[i]];
-      cpt_[c][i].assign(rows * alphabet_[i], 0.0);
-    }
+    class_counts_[c] = static_cast<double>(counts.rows(c));
+    cpt_[c].resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+      cpt_[c][i] = counts.conditional_table(c, i, parents_[i]);
   }
-  for (std::size_t r = 0; r < data.rows.size(); ++r) {
-    const auto& row = data.rows[r];
-    PREPARE_CHECK_EQ(row.size(), n) << "ragged training row " << r;
-    const int c = data.abnormal[r] ? 1 : 0;
-    class_counts_[c] += 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      PREPARE_CHECK_LT(row[i], alphabet_[i])
-          << "row " << r << " attribute " << i << " out of alphabet";
-      const std::size_t pv =
-          parents_[i] == kNoParent ? 0 : row[parents_[i]];
-      cpt_[c][i][pv * alphabet_[i] + row[i]] += 1.0;
-    }
-  }
-  // Every training row landed in exactly one class bucket.
-  PREPARE_DCHECK_NEAR(class_counts_[0] + class_counts_[1],
-                      static_cast<double>(data.rows.size()), 1e-9)
-      << "class counts do not cover the training set";
 }
 
 Probability TanClassifier::likelihood(std::size_t attribute, BinIndex value,

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/analyze_annotations.h"
+#include "models/chow_liu.h"
 #include "models/classifier.h"
 
 namespace prepare {
@@ -52,7 +53,7 @@ class TanClassifier : public Classifier {
 
   /// parent(i) = index of attribute i's attribute-parent, or kNoParent
   /// for the root (whose only parent is the class node).
-  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoParent = kTreeRoot;
   const std::vector<std::size_t>& parents() const { return parents_; }
 
   /// Smoothed P(a_i = v | a_pi = pv, C = c); for the root, pv is ignored.
@@ -66,8 +67,8 @@ class TanClassifier : public Classifier {
   double conditional_mutual_information(std::size_t i, std::size_t j) const;
 
  private:
-  void learn_structure(const LabeledDataset& data);
-  void learn_cpts(const LabeledDataset& data);
+  void learn_structure(const PairCounts& counts);
+  void learn_cpts(const PairCounts& counts);
   void build_impact_tables();
   double log_impact(std::size_t attribute, std::size_t value,
                     std::size_t parent_value) const {

@@ -1,7 +1,5 @@
 #include "monitor/metric_store.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace prepare {
@@ -10,53 +8,56 @@ void MetricStore::record(const std::string& vm_name, double time,
                          const AttributeVector& values) {
   auto it = histories_.find(vm_name);
   if (it == histories_.end()) {
-    it = histories_.emplace(vm_name, VmHistory{}).first;
+    it = histories_.emplace(vm_name, History{}).first;
     vm_names_.push_back(vm_name);
   }
   for (std::size_t a = 0; a < kAttributeCount; ++a)
-    it->second.series[a].append(time, values[a]);
+    it->second[a].append(time, values[a]);
 }
 
-const MetricStore::VmHistory& MetricStore::history_of(
+const MetricStore::History* MetricStore::history(
     const std::string& vm_name) const {
   auto it = histories_.find(vm_name);
-  PREPARE_CHECK_MSG(it != histories_.end(), "unknown VM: " + vm_name);
-  return it->second;
+  return it == histories_.end() ? nullptr : &it->second;
+}
+
+const MetricStore::History& MetricStore::history_of(
+    const std::string& vm_name) const {
+  const History* h = history(vm_name);
+  PREPARE_CHECK_MSG(h != nullptr, "unknown VM: " + vm_name);
+  return *h;
 }
 
 std::size_t MetricStore::sample_count(const std::string& vm_name) const {
-  auto it = histories_.find(vm_name);
-  if (it == histories_.end()) return 0;
-  return it->second.series[0].size();
+  const History* h = history(vm_name);
+  return h == nullptr ? 0 : (*h)[0].size();
 }
 
 const TimeSeries& MetricStore::series(const std::string& vm_name,
                                       Attribute a) const {
-  return history_of(vm_name).series[static_cast<std::size_t>(a)];
+  return history_of(vm_name)[static_cast<std::size_t>(a)];
 }
 
 AttributeVector MetricStore::sample(const std::string& vm_name,
                                     std::size_t i) const {
-  const VmHistory& h = history_of(vm_name);
+  const History& h = history_of(vm_name);
   AttributeVector v{};
-  for (std::size_t a = 0; a < kAttributeCount; ++a) v[a] = h.series[a].at(i).value;
+  for (std::size_t a = 0; a < kAttributeCount; ++a) v[a] = h[a].at(i).value;
   return v;
 }
 
 double MetricStore::sample_time(const std::string& vm_name,
                                 std::size_t i) const {
-  return history_of(vm_name).series[0].at(i).time;
+  return history_of(vm_name)[0].at(i).time;
 }
 
-std::vector<AttributeVector> MetricStore::last_samples(
-    const std::string& vm_name, std::size_t n) const {
-  const std::size_t total = sample_count(vm_name);
-  const std::size_t take = std::min(n, total);
-  std::vector<AttributeVector> out;
-  out.reserve(take);
-  for (std::size_t i = total - take; i < total; ++i)
-    out.push_back(sample(vm_name, i));
-  return out;
+std::optional<AttributeVector> MetricStore::latest_sample(
+    const std::string& vm_name) const {
+  const History* h = history(vm_name);
+  if (h == nullptr) return std::nullopt;
+  AttributeVector v{};
+  for (std::size_t a = 0; a < kAttributeCount; ++a) v[a] = (*h)[a].back().value;
+  return v;
 }
 
 void MetricStore::clear() {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,20 +33,21 @@ class MetricStore {
   AttributeVector sample(const std::string& vm_name, std::size_t i) const;
   double sample_time(const std::string& vm_name, std::size_t i) const;
 
-  /// The latest `n` samples of a VM, oldest first.
-  std::vector<AttributeVector> last_samples(const std::string& vm_name,
-                                            std::size_t n) const;
+  /// The latest sample of a VM; nullopt if the VM is unknown.
+  std::optional<AttributeVector> latest_sample(
+      const std::string& vm_name) const;
+
+  /// Every attribute's series of one VM, all on the same timestamps, in
+  /// one lookup; null if the VM is unknown.
+  using History = std::array<TimeSeries, kAttributeCount>;
+  const History* history(const std::string& vm_name) const;
 
   void clear();
 
  private:
-  struct VmHistory {
-    std::array<TimeSeries, kAttributeCount> series;
-  };
+  const History& history_of(const std::string& vm_name) const;
 
-  const VmHistory& history_of(const std::string& vm_name) const;
-
-  std::map<std::string, VmHistory> histories_;
+  std::map<std::string, History> histories_;
   std::vector<std::string> vm_names_;
 };
 

@@ -41,6 +41,15 @@ SyntheticTrace leak_trace(std::uint64_t seed) {
 
 std::vector<std::string> names() { return {"free_mem", "cpu", "noise"}; }
 
+/// Feature columns of row-major samples: the layout train() takes.
+std::vector<std::vector<double>> columns_of(
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<std::vector<double>> columns(rows.front().size());
+  for (const auto& row : rows)
+    for (std::size_t i = 0; i < row.size(); ++i) columns[i].push_back(row[i]);
+  return columns;
+}
+
 TEST(AnomalyPredictor, RequiresFeatures) {
   EXPECT_THROW(AnomalyPredictor({}), CheckFailure);
 }
@@ -48,7 +57,7 @@ TEST(AnomalyPredictor, RequiresFeatures) {
 TEST(AnomalyPredictor, LifecycleChecks) {
   AnomalyPredictor p(names());
   EXPECT_FALSE(p.trained());
-  EXPECT_THROW(p.observe({1.0, 2.0, 3.0}), CheckFailure);
+  EXPECT_THROW(p.observe(std::vector{1.0, 2.0, 3.0}), CheckFailure);
   EXPECT_THROW(p.predict(TickIndex{1}), CheckFailure);
   EXPECT_THROW(p.classify_current(), CheckFailure);
 }
@@ -56,27 +65,27 @@ TEST(AnomalyPredictor, LifecycleChecks) {
 TEST(AnomalyPredictor, TrainsAndClassifiesCurrent) {
   AnomalyPredictor p(names());
   const auto trace = leak_trace(1);
-  p.train(trace.rows, trace.abnormal);
+  p.train(columns_of(trace.rows), trace.abnormal);
   EXPECT_TRUE(p.trained());
   EXPECT_TRUE(p.discriminative());
-  p.observe({20.0, 85.0, 5.0});
+  p.observe(std::vector{20.0, 85.0, 5.0});
   EXPECT_TRUE(p.classify_current().abnormal);
-  p.observe({300.0, 20.0, 5.0});
-  p.observe({300.0, 20.0, 5.0});
+  p.observe(std::vector{300.0, 20.0, 5.0});
+  p.observe(std::vector{300.0, 20.0, 5.0});
   EXPECT_FALSE(p.classify_current().abnormal);
 }
 
 TEST(AnomalyPredictor, PredictsAnomalyDuringDecline) {
   AnomalyPredictor p(names());
   const auto trace = leak_trace(2);
-  p.train(trace.rows, trace.abnormal);
+  p.train(columns_of(trace.rows), trace.abnormal);
   // Feed a fresh decline; the predictor should alarm before the values
   // reach the violation-era levels.
   Rng rng(3);
   bool alarmed_early = false;
   for (int i = 0; i < 30; ++i) {
     const double free_mem = 300.0 - 8.0 * i;
-    p.observe({free_mem + rng.gaussian(0.0, 2.0),
+    p.observe(std::vector{free_mem + rng.gaussian(0.0, 2.0),
                20.0 + 0.8 * i + rng.gaussian(0.0, 1.0),
                rng.uniform(0.0, 10.0)});
     if (!p.ready()) continue;
@@ -90,12 +99,13 @@ TEST(AnomalyPredictor, PredictsAnomalyDuringDecline) {
 TEST(AnomalyPredictor, PredictedValuesFollowTrend) {
   AnomalyPredictor p(names());
   const auto trace = leak_trace(4);
-  p.train(trace.rows, trace.abnormal);
+  p.train(columns_of(trace.rows), trace.abnormal);
   // Mid-decline context: the predicted free_mem at the horizon should be
   // well below the current value.
   Rng rng(5);
   for (int i = 0; i < 15; ++i)
-    p.observe({300.0 - 8.0 * i, 20.0 + 0.8 * i, rng.uniform(0.0, 10.0)});
+    p.observe(std::vector{300.0 - 8.0 * i, 20.0 + 0.8 * i,
+                          rng.uniform(0.0, 10.0)});
   const auto result = p.predict(TickIndex{8});
   EXPECT_LT(result.predicted_values[0], 300.0 - 8.0 * 14);
 }
@@ -103,8 +113,8 @@ TEST(AnomalyPredictor, PredictedValuesFollowTrend) {
 TEST(AnomalyPredictor, AttributionPinpointsLeakFeatures) {
   AnomalyPredictor p(names());
   const auto trace = leak_trace(6);
-  p.train(trace.rows, trace.abnormal);
-  p.observe({20.0, 85.0, 5.0});
+  p.train(columns_of(trace.rows), trace.abnormal);
+  p.observe(std::vector{20.0, 85.0, 5.0});
   const auto cls = p.classify_current();
   const auto order = Classifier::ranked_attributes(cls);
   EXPECT_NE(order[0], 2u);  // noise must not rank first
@@ -122,7 +132,7 @@ TEST(AnomalyPredictor, NonDiscriminativeWhenClassesOverlap) {
     abnormal.push_back(i % 5 == 0);
   }
   AnomalyPredictor p(names());
-  p.train(rows, abnormal);
+  p.train(columns_of(rows), abnormal);
   EXPECT_FALSE(p.discriminative());
   EXPECT_LT(p.train_tpr(), 0.5);
 }
@@ -131,7 +141,7 @@ TEST(AnomalyPredictor, AllNormalTrainingIsDiscriminativeByConvention) {
   std::vector<std::vector<double>> rows(50, {1.0, 2.0, 3.0});
   std::vector<bool> abnormal(50, false);
   AnomalyPredictor p(names());
-  p.train(rows, abnormal);
+  p.train(columns_of(rows), abnormal);
   EXPECT_TRUE(p.discriminative());
   EXPECT_DOUBLE_EQ(p.train_tpr(), 1.0);
 }
@@ -141,8 +151,8 @@ TEST(AnomalyPredictor, NaiveBayesBackendWorks) {
   config.classifier = ClassifierKind::kNaiveBayes;
   AnomalyPredictor p(names(), config);
   const auto trace = leak_trace(8);
-  p.train(trace.rows, trace.abnormal);
-  p.observe({20.0, 85.0, 5.0});
+  p.train(columns_of(trace.rows), trace.abnormal);
+  p.observe(std::vector{20.0, 85.0, 5.0});
   EXPECT_TRUE(p.classify_current().abnormal);
 }
 
@@ -151,28 +161,31 @@ TEST(AnomalyPredictor, SimpleMarkovBackendWorks) {
   config.markov_order = 1;
   AnomalyPredictor p(names(), config);
   const auto trace = leak_trace(9);
-  p.train(trace.rows, trace.abnormal);
-  p.observe({300.0, 20.0, 5.0});
+  p.train(columns_of(trace.rows), trace.abnormal);
+  p.observe(std::vector{300.0, 20.0, 5.0});
   EXPECT_NO_THROW(p.predict(TickIndex{6}));
 }
 
 TEST(AnomalyPredictor, MismatchedRowSizesThrow) {
   AnomalyPredictor p(names());
-  EXPECT_THROW(p.train({{1.0, 2.0}}, {false}), CheckFailure);
+  // Two columns for three features, then three of the wrong length.
+  EXPECT_THROW(p.train(columns_of({{1.0, 2.0}}), {false}), CheckFailure);
+  EXPECT_THROW(p.train(columns_of({{1.0, 2.0, 3.0}}), {false, true}),
+               CheckFailure);
   const auto trace = leak_trace(10);
-  p.train(trace.rows, trace.abnormal);
-  EXPECT_THROW(p.observe({1.0}), CheckFailure);
+  p.train(columns_of(trace.rows), trace.abnormal);
+  EXPECT_THROW(p.observe(std::vector{1.0}), CheckFailure);
 }
 
 TEST(AnomalyPredictor, RetrainReplacesModel) {
   AnomalyPredictor p(names());
   const auto trace = leak_trace(11);
-  p.train(trace.rows, trace.abnormal);
+  p.train(columns_of(trace.rows), trace.abnormal);
   // Retrain with all-normal data: nothing should classify abnormal.
   std::vector<std::vector<double>> rows(60, {100.0, 10.0, 5.0});
   std::vector<bool> abnormal(60, false);
-  p.train(rows, abnormal);
-  p.observe({20.0, 85.0, 5.0});
+  p.train(columns_of(rows), abnormal);
+  p.observe(std::vector{20.0, 85.0, 5.0});
   EXPECT_FALSE(p.classify_current().abnormal);
 }
 

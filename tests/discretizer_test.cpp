@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 
@@ -12,10 +15,124 @@ namespace {
 
 /// Reference bin assignment straight from the documented contract:
 /// bin i covers (cuts[i-1], cuts[i]], i.e. lower_bound over the cuts.
-std::size_t reference_bin(const Discretizer& d, double value) {
-  const auto& cuts = d.cuts();
+std::size_t reference_bin(const std::vector<double>& cuts, double value) {
   return static_cast<std::size_t>(
       std::lower_bound(cuts.begin(), cuts.end(), value) - cuts.begin());
+}
+std::size_t reference_bin(const Discretizer& d, double value) {
+  return reference_bin(d.cuts(), value);
+}
+
+/// The sort-based fit that the min/max scan replaced, kept as the
+/// reference: the range comes from a sorted copy's ends. (Its guard
+/// cuts also stay outside the interior grid, which the old fit missed
+/// for constant columns.)
+struct ReferenceFit {
+  std::vector<double> cuts, centers, fit_counts;
+};
+
+ReferenceFit reference_fit(std::size_t bins, DiscretizerKind kind,
+                           double margin, bool guard_bins,
+                           const std::vector<double>& values) {
+  ReferenceFit out;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const double lo = sorted.front();
+  const double hi = sorted.back();
+  auto& cuts = out.cuts;
+  double inner_lo = lo, inner_hi = hi;
+  if (kind == DiscretizerKind::kEqualWidth) {
+    double span = hi - lo;
+    double xlo = lo, xhi = hi;
+    if (span <= 0.0) {
+      const double pad = std::max(1.0, std::abs(lo)) * 0.01;
+      xlo -= pad;
+      xhi += pad;
+      span = xhi - xlo;
+    }
+    xlo -= margin * span;
+    xhi += margin * span;
+    inner_lo = xlo;
+    inner_hi = xhi;
+    const double width = (xhi - xlo) / static_cast<double>(bins);
+    for (std::size_t b = 1; b < bins; ++b)
+      cuts.push_back(xlo + width * static_cast<double>(b));
+  } else {
+    for (std::size_t b = 1; b < bins; ++b) {
+      const double q = static_cast<double>(b) / static_cast<double>(bins);
+      const auto idx = static_cast<std::size_t>(
+          q * static_cast<double>(sorted.size() - 1));
+      const double cut = sorted[idx];
+      if (cuts.empty() || cut > cuts.back()) cuts.push_back(cut);
+    }
+    if (cuts.empty()) cuts.push_back(lo + std::max(1.0, std::abs(lo)) * 0.01);
+  }
+  if (guard_bins) {
+    const double pad =
+        std::max({1e-9, (hi - lo) * 2.0 * margin, std::abs(hi) * 1e-9});
+    cuts.insert(cuts.begin(), std::min(lo - pad, inner_lo));
+    cuts.push_back(std::max(hi + pad, inner_hi));
+  }
+  const std::size_t n_bins = cuts.size() + 1;
+  auto& centers = out.centers;
+  centers.assign(n_bins, 0.0);
+  for (std::size_t b = 1; b + 1 < n_bins; ++b)
+    centers[b] = 0.5 * (cuts[b - 1] + cuts[b]);
+  const double edge_width = cuts.size() >= 2
+                                ? cuts[1] - cuts[0]
+                                : std::max(1.0, std::abs(cuts.front())) * 0.02;
+  centers.front() = lo <= cuts.front() ? 0.5 * (lo + cuts.front())
+                                       : cuts.front() - 0.5 * edge_width;
+  const double top_width =
+      cuts.size() >= 2 ? cuts[cuts.size() - 1] - cuts[cuts.size() - 2]
+                       : edge_width;
+  centers.back() = hi > cuts.back() ? 0.5 * (cuts.back() + hi)
+                                    : cuts.back() + 0.5 * top_width;
+  out.fit_counts.assign(n_bins, 0.0);
+  for (double v : values) out.fit_counts[reference_bin(cuts, v)] += 1.0;
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Bitwise equality, so +0.0 and -0.0 differ.
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(bits(got[i]), bits(want[i]))
+        << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+}
+
+/// Fits `values` (skipping the excluded ones) and checks the grid, the
+/// occupancy, the symbols and the bins of probes around every cut
+/// against the sort-based reference fit of the used values.
+void expect_matches_sorted_fit(std::size_t bins, DiscretizerKind kind,
+                               double margin, bool guard_bins,
+                               const std::vector<double>& values,
+                               const std::vector<bool>* exclude = nullptr) {
+  std::vector<double> used;
+  for (std::size_t r = 0; r < values.size(); ++r)
+    if (exclude == nullptr || !(*exclude)[r]) used.push_back(values[r]);
+  const ReferenceFit ref = reference_fit(bins, kind, margin, guard_bins, used);
+  Discretizer d(bins, kind, margin, guard_bins);
+  std::vector<std::size_t> symbols;
+  d.fit(values, exclude, &symbols);
+  expect_same_bits(d.cuts(), ref.cuts, "cuts");
+  expect_same_bits(d.centers(), ref.centers, "centers");
+  expect_same_bits(d.fit_counts(), ref.fit_counts, "fit_counts");
+  ASSERT_EQ(symbols.size(), values.size());
+  for (std::size_t r = 0; r < values.size(); ++r)
+    EXPECT_EQ(symbols[r], reference_bin(ref.cuts, values[r])) << "value " << r;
+  std::vector<double> probes = {-1e9, -0.0, 0.0, 1e9};
+  for (double cut : ref.cuts) {
+    probes.push_back(cut);
+    probes.push_back(std::nextafter(cut, 1e18));
+    probes.push_back(std::nextafter(cut, -1e18));
+  }
+  for (double center : ref.centers) probes.push_back(center);
+  for (double x : probes)
+    EXPECT_EQ(d.discretize(x), reference_bin(ref.cuts, x)) << "at " << x;
 }
 
 TEST(Discretizer, RejectsBadConstruction) {
@@ -156,6 +273,14 @@ TEST(EqualWidth, FastPathMatchesBinarySearch) {
   }
   for (double x : probes)
     EXPECT_EQ(d.discretize(x), reference_bin(d, x)) << "at " << x;
+  // Grids from a min/max scan, bitwise the sort-based ones: a zero
+  // extreme of either sign, margin 0, constant and one-element columns.
+  for (double margin : {0.0, 0.05})
+    for (const std::vector<double>& xs :
+         {std::vector<double>{-3.0, 41.7}, {0.0, -0.0, 12.5}, {-0.0, 0.0, 12.5},
+          {-12.5, 0.0, -0.0}, {-12.5, -0.0, 0.0}, {7.0, 7.0, 7.0}, {-2.5}})
+      expect_matches_sorted_fit(7, DiscretizerKind::kEqualWidth, margin,
+                                /*guard_bins=*/false, xs);
 }
 
 TEST(GuardBins, RoundTripThroughCenters) {
@@ -230,6 +355,50 @@ TEST_P(DiscretizerSweep, ValidAndMonotone) {
     EXPECT_LT(b, d.bins());
     EXPECT_GE(b, prev);
     prev = b;
+  }
+
+  // Every grid matches the sort-based fit bit for bit, whatever the
+  // extremes' zero signs (std::sort leaves the order of equal +-0
+  // unspecified), margin and guard bins; an exclusion mask fits on the
+  // remaining values but still discretizes all of them.
+  std::vector<bool> every_third(xs.size());
+  for (std::size_t r = 0; r < xs.size(); ++r) every_third[r] = r % 3 == 0;
+  std::vector<std::vector<double>> inputs = {
+      xs,
+      {0.0, -0.0, 4.0, 9.0, -0.0},
+      {-0.0, 0.0, 4.0, 9.0, 0.0},
+      {-9.0, 0.0, -4.0, -0.0},
+      {-9.0, -0.0, -4.0, 0.0},
+      {0.0, -0.0, 0.0},
+      {-0.0},
+      {3.25, 3.25, 3.25},
+      {-1e6},
+  };
+  // Long enough for std::sort to leave insertion sort: zero extremes of
+  // both signs at both ends.
+  std::vector<double> zeros;
+  for (int i = 0; i < 40; ++i) zeros.push_back(i % 2 == 0 ? 0.0 : -0.0);
+  zeros.push_back(6.0);
+  inputs.push_back(zeros);
+  for (double& z : zeros) z = -z;
+  zeros.back() = -6.0;
+  inputs.push_back(zeros);
+  for (double margin : {0.0, 0.05})
+    for (bool guard_bins : {false, true})
+      for (const auto& values : inputs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "margin " << margin << " guard " << guard_bins
+                     << " values " << values.size());
+        expect_matches_sorted_fit(bins, kind, margin, guard_bins, values);
+      }
+  expect_matches_sorted_fit(bins, kind, 0.05, false, xs, &every_third);
+
+  // Non-finite values throw, excluded or not.
+  const std::vector<bool> skip_last = {false, false, true};
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Discretizer fresh(bins, kind);
+    EXPECT_THROW(fresh.fit({1.0, 2.0, bad}), CheckFailure);
+    EXPECT_THROW(fresh.fit({1.0, 2.0, bad}, &skip_last), CheckFailure);
   }
 }
 

@@ -140,33 +140,35 @@ TEST(OutlierPipeline, PredictorWithOutlierBackendAlarmsOnLeak) {
   config.classifier = ClassifierKind::kOutlier;
   config.guard_bins = true;
   AnomalyPredictor predictor({"free_mem", "cpu"}, config);
-  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> columns(2);
   std::vector<bool> labels;
   for (int i = 0; i < 200; ++i) {
-    rows.push_back({300.0 + (i % 7), 20.0 + (i % 5)});
+    columns[0].push_back(300.0 + (i % 7));
+    columns[1].push_back(20.0 + (i % 5));
     labels.push_back(false);
   }
-  predictor.train(rows, labels);
+  predictor.train(columns, labels);
   EXPECT_TRUE(predictor.trained());
   // Sustained deep excursion far outside anything seen (several samples
   // so the Markov context and transitions reflect the excursion).
   for (int i = 0; i < 6; ++i)
-    predictor.observe({40.0 - 2.0 * i, 85.0 + i});
+    predictor.observe(std::vector{40.0 - 2.0 * i, 85.0 + i});
   EXPECT_TRUE(predictor.classify_current().abnormal);
   EXPECT_TRUE(predictor.predict(TickIndex{4}).classification.abnormal);
 }
 
 TEST(OutlierPipeline, SupervisedBackendStaysSilentWithoutAbnormalLabels) {
   AnomalyPredictor predictor({"free_mem", "cpu"});  // TAN backend
-  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> columns(2);
   std::vector<bool> labels;
   for (int i = 0; i < 200; ++i) {
-    rows.push_back({300.0 + (i % 7), 20.0 + (i % 5)});
+    columns[0].push_back(300.0 + (i % 7));
+    columns[1].push_back(20.0 + (i % 5));
     labels.push_back(false);
   }
-  predictor.train(rows, labels);
-  predictor.observe({40.0, 85.0});
-  predictor.observe({30.0, 88.0});
+  predictor.train(columns, labels);
+  predictor.observe(std::vector{40.0, 85.0});
+  predictor.observe(std::vector{30.0, 88.0});
   EXPECT_FALSE(predictor.classify_current().abnormal);
   EXPECT_FALSE(predictor.predict(TickIndex{4}).classification.abnormal);
 }

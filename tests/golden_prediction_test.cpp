@@ -41,25 +41,23 @@ constexpr double kGoldenTol = 1e-9;
 /// runtime ramp toward the anomalous regime. Everything is seeded, so
 /// the outputs below are stable.
 AnomalyPredictor golden_predictor(Rng* rng) {
-  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> columns(6);
   std::vector<bool> abnormal;
   for (std::size_t i = 0; i < 240; ++i) {
     const bool bad = i >= 160 && i < 200;
-    std::vector<double> row;
     for (std::size_t a = 0; a < 6; ++a) {
       double base = 40.0 + 8.0 * static_cast<double>(a);
       if (bad) base *= 1.7;
       if (i >= 140 && i < 200) base += 0.5 * static_cast<double>(i - 140);
-      row.push_back(base + rng->gaussian(0.0, 1.5));
+      columns[a].push_back(base + rng->gaussian(0.0, 1.5));
     }
-    rows.push_back(std::move(row));
     abnormal.push_back(bad);
   }
   PredictorConfig config;
   config.bins = 5;
   AnomalyPredictor predictor(
       {"cpu", "mem", "net_in", "net_out", "disk", "load"}, config);
-  predictor.train(rows, abnormal);
+  predictor.train(columns, abnormal);
   for (std::size_t t = 0; t < 12; ++t) {
     std::vector<double> row;
     for (std::size_t a = 0; a < 6; ++a) {

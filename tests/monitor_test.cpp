@@ -145,17 +145,17 @@ TEST(MetricStore, VmNamesInFirstSeenOrder) {
   EXPECT_EQ(store.vm_names()[1], "a");
 }
 
-TEST(MetricStore, LastSamplesOldestFirst) {
+TEST(MetricStore, LatestSampleIsTheNewest) {
   MetricStore store;
+  EXPECT_FALSE(store.latest_sample("vm").has_value());
   AttributeVector v{};
   for (int i = 0; i < 5; ++i) {
     set(v, Attribute::kNetIn, static_cast<double>(i));
     store.record("vm", i * 5.0, v);
   }
-  const auto last = store.last_samples("vm", 2);
-  ASSERT_EQ(last.size(), 2u);
-  EXPECT_DOUBLE_EQ(get(last[0], Attribute::kNetIn), 3.0);
-  EXPECT_DOUBLE_EQ(get(last[1], Attribute::kNetIn), 4.0);
+  const auto latest = store.latest_sample("vm");
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_DOUBLE_EQ(get(*latest, Attribute::kNetIn), 4.0);
 }
 
 TEST(MetricStore, UnknownVmThrows) {

@@ -89,10 +89,11 @@ TEST(Labeler, MatchesTimestampsAgainstSloLog) {
   const auto labeled = Labeler::label_all(store, slo, "vm");
   ASSERT_EQ(labeled.size(), 10u);
   // Samples at t = 10, 15 and 30 fall inside violations.
-  for (const auto& s : labeled) {
+  for (std::size_t r = 0; r < labeled.size(); ++r) {
+    const double t = labeled.times[r];
     const bool expect_abnormal =
-        (s.time >= 10.0 && s.time < 20.0) || (s.time >= 30.0 && s.time < 35.0);
-    EXPECT_EQ(s.abnormal, expect_abnormal) << "t=" << s.time;
+        (t >= 10.0 && t < 20.0) || (t >= 30.0 && t < 35.0);
+    EXPECT_EQ(labeled.abnormal[r], expect_abnormal) << "t=" << t;
   }
 }
 
@@ -103,8 +104,10 @@ TEST(Labeler, WindowRestrictsSamples) {
   for (double t = 0.0; t < 50.0; t += 5.0) store.record("vm", t, v);
   const auto labeled = Labeler::label(store, slo, "vm", 10.0, 20.0);
   ASSERT_EQ(labeled.size(), 3u);  // t = 10, 15, 20
-  EXPECT_TRUE(labeled[0].abnormal);
-  EXPECT_FALSE(labeled[2].abnormal);  // t = 20: violation interval is open
+  EXPECT_DOUBLE_EQ(labeled.times[0], 10.0);
+  EXPECT_TRUE(labeled.abnormal[0]);
+  EXPECT_FALSE(labeled.abnormal[2]);  // t = 20: violation interval is open
+  for (const auto& column : labeled.columns) EXPECT_EQ(column.size(), 3u);
 }
 
 }  // namespace
