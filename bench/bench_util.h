@@ -36,13 +36,13 @@ namespace prepare::bench {
 /// True when CI (or the user) pinned the output directory — stable file
 /// names are then wanted so the consumer can find them.
 inline bool out_dir_pinned() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): bench mains read env pre-fanout
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): bench mains are single-threaded
   const char* dir = std::getenv("PREPARE_BENCH_OUT_DIR");
   return dir != nullptr && dir[0] != '\0';
 }
 
 inline std::string results_dir() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): bench mains read env pre-fanout
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): bench mains are single-threaded
   const char* env = std::getenv("PREPARE_BENCH_OUT_DIR");
   const std::string dir =
       (env != nullptr && env[0] != '\0') ? env : "bench_results";

@@ -44,9 +44,6 @@ namespace {
       "  --seed N                      (default 1)\n"
       "  --repeats N                   (default 1)\n"
       "  --sampling S                  (seconds; default 5)\n"
-      "  --threads N                   (worker threads for the per-VM "
-      "prediction\n                                 fan-out; default 1; any "
-      "N gives identical results)\n"
       "  --export PREFIX               (write PREFIX_metrics.csv, "
       "PREFIX_slo.csv)\n"
       "  --replay PREFIX               (offline: load PREFIX_metrics.csv/"
@@ -156,9 +153,6 @@ int main(int argc, char** argv) {
       repeats = std::stoull(value());
     } else if (arg == "--sampling") {
       config.sampling_interval_s = std::stod(value());
-    } else if (arg == "--threads") {
-      config.num_threads = std::stoull(value());
-      if (config.num_threads == 0) usage(argv[0]);
     } else if (arg == "--export") {
       export_prefix = value();
     } else if (arg == "--replay") {

@@ -10,10 +10,9 @@
 // hypervisor, clock) is confined to the single driver thread — step()
 // and the accessors are never called concurrently, and implementations
 // hold plain unguarded state (audited: no threads/atomics in
-// web_app.cpp or stream_app.cpp). The controller's parallel per-VM
-// prediction fan-out never reaches down here; workers only read const
-// predictor state and record into the thread-safe obs:: instruments
-// (see DESIGN.md "Concurrency model & locking discipline").
+// web_app.cpp or stream_app.cpp). The controller's management round
+// runs on the same thread (see DESIGN.md "Concurrency model & locking
+// discipline").
 // Machine-checked: the interface carries PREPARE_DRIVER_CONFINED and
 // tools/prepare_analyze.py proves no worker lambda reaches it.
 #pragma once

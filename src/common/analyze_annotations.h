@@ -19,8 +19,12 @@
 //       allocation (operator new, malloc, growing container ops, string
 //       construction), acquire no lock, and do no stdio/stream IO
 //       (rules `hot-alloc` / `hot-lock` / `hot-io`). Worker lambdas
-//       passed to parallel_for are implicitly hot — the fan-out body IS
+//       passed to parallel_for are implicitly hot — a fan-out body is
 //       the steady state.
+//
+// No code in the tree fans out today: the management round runs on one
+// thread (DESIGN.md section 10), so no worker lambda roots either proof.
+// The confinement rule stays for the parked shard-grain parallelism.
 //
 // Deliberate exceptions (e.g. a capacity-steady `resize` that only
 // reuses storage after the first round, or the Histogram instrument's

@@ -9,9 +9,9 @@
 // compile errors instead of TSan reports.
 //
 // Mutex satisfies BasicLockable, so it works directly with
-// std::condition_variable_any (see src/common/thread_pool.cpp). Prefer
-// the RAII MutexLock; call lock()/unlock() manually only where a scope
-// does not fit (condition-variable wait loops).
+// std::condition_variable_any. Prefer the RAII MutexLock; call
+// lock()/unlock() manually only where a scope does not fit
+// (condition-variable wait loops).
 #pragma once
 
 #include <mutex>

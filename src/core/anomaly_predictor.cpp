@@ -193,8 +193,8 @@ bool AnomalyPredictor::ready() const {
 
 AnomalyPredictor::Result AnomalyPredictor::predict(TickIndex steps) const {
   // Cold wrapper: tests and one-shot callers get a fresh Result; the
-  // controller's per-round fan-out calls predict_into() with a reused
-  // slot instead.
+  // controller's per-round loop calls predict_into() with a reused
+  // Result instead.
   Result out;
   predict_into(steps, /*with_horizon=*/true, &out);
   return out;

@@ -140,16 +140,16 @@ class AnomalyPredictor {
   /// scored per-step horizon path).
   Result predict(TickIndex steps) const;
   /// The steady-state prediction path, written into `out` (non-null) so
-  /// the controller's per-VM fan-out reuses one Result slot per VM
-  /// instead of allocating fresh vectors every round. The horizon-path
-  /// decision is the caller's: the controller resolves
-  /// ModelIntrospect::calibration_due() once per round on the driver
-  /// thread and passes it here, so the (more expensive) scored path runs
-  /// only on sampled calibration rounds and the worker-side predict
-  /// never touches the driver-confined introspector. `with_horizon` is
-  /// ignored when no introspector is attached. PREPARE_HOT: the
-  /// analyzer proves this transitively allocation-, lock- and IO-free
-  /// (the value-returning predict() above is a thin cold wrapper).
+  /// the controller reuses one Result for every VM instead of
+  /// allocating fresh vectors every round. The horizon-path decision is
+  /// the caller's: the controller resolves
+  /// ModelIntrospect::calibration_due() once per round and passes it
+  /// here, so the (more expensive) scored path runs only on sampled
+  /// calibration rounds and predict_into() itself never calls the
+  /// introspector. `with_horizon` is ignored when no introspector is
+  /// attached. PREPARE_HOT: the analyzer proves this transitively
+  /// allocation-, lock- and IO-free (the value-returning predict() above
+  /// is a thin cold wrapper).
   PREPARE_HOT void predict_into(TickIndex steps, bool with_horizon,
                                 Result* out) const;
 
@@ -194,9 +194,8 @@ class AnomalyPredictor {
   /// observe() feeds runtime symbols into the occupancy drift window,
   /// and predict() fills Result::horizon_probs for the calibration
   /// tracker. The introspector must outlive the predictor; nullptr
-  /// detaches. predict() itself never calls into the introspector — it
-  /// runs inside the parallel per-VM fan-out, and the introspector is
-  /// driver-thread-confined.
+  /// detaches. predict() itself never calls into the introspector: the
+  /// controller folds Result::horizon_probs into it.
   void set_introspect(obs::ModelIntrospect* introspect);
 
   /// Sweeps every attribute's Markov transition rows and the
@@ -242,9 +241,9 @@ class AnomalyPredictor {
   obs::ModelIntrospect* introspect_ = nullptr;
 
   // Per-predict transient buffers, reused across ticks so the steady
-  // state allocates nothing. Safe despite `mutable`: a predictor is
-  // confined to its VM's worker thread (the parallel driver shards by
-  // VM), matching the thread-safety story of the bank's own scratch.
+  // state allocates nothing. `mutable` lets the const predict path
+  // write them, so one predictor must not predict on two threads at
+  // once; the controller predicts every VM on its one thread.
   /// Final-step distribution per feature.
   mutable std::vector<Distribution> scratch_dists_;
   mutable std::vector<std::size_t> scratch_row_;

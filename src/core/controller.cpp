@@ -86,10 +86,10 @@ PrepareController::PrepareController(ControllerContext ctx,
       inference_(vm_names_, config.inference),
       actuator_(ctx_.hypervisor, ctx_.cluster, ctx_.store, ctx_.log,
                 config.prevention, ctx_.metrics, ctx_.tracer, ctx_.recorder),
-      profiler_(ctx_.metrics),
-      pool_(predict && ctx_.num_threads > 1
-                ? std::make_unique<ThreadPool>(ctx_.num_threads)
-                : nullptr) {
+      profiler_(ctx_.metrics) {
+  PREPARE_CHECK_MSG(ctx_.num_threads == 1,
+                    "the management round runs on one thread; "
+                    "num_threads must be 1");
   const auto names = attribute_feature_names();
   if (ctx_.introspect != nullptr) {
     ctx_.introspect->set_horizon(lookahead_steps_.value(),
@@ -140,8 +140,8 @@ void PrepareController::train(double t0, double t1) {
     // Register the VM's evidence geometry with the flight recorder: the
     // flattened-distribution layout depends on the trained discretizer
     // alphabets (quantile binning merges ties), so this must happen
-    // after train(). Capture is predictor-side: each fan-out worker
-    // fills only its own Result::evidence slot.
+    // after train(). Capture is predictor-side: predict_into() fills
+    // Result::evidence.
     if (ctx_.recorder != nullptr &&
         recorder_slots_.count(vm) == 0) {
       obs::EvidenceLayout layout;
@@ -308,51 +308,19 @@ void PrepareController::predict_round(
   if (ctx_.introspect != nullptr)
     ctx_.introspect->begin_round(now, ctx_.slo->currently_violated());
 
-  // The models are independent per VM (paper Section III) and predict()
-  // only reads predictor state, so the Markov look-ahead + TAN
-  // classification fan out across the worker pool; the only shared
-  // state they touch is the thread-safe obs:: instruments. The fan-out
-  // stage draws no randomness — a future stochastic stage must fork one
-  // Rng stream per VM (Rng::fork) before fanning out, never share an
-  // engine. Alerts, filter pushes, and log records are then applied
-  // serially below in deterministic (map) VM order, so a parallel run is
-  // bit-identical to a sequential one.
-  auto& active = active_;
-  auto& results = results_;
-  active.clear();
-  active.reserve(predictors_.size());
-  for (const auto& [vm, predictor] : predictors_)
-    if (predictor.ready() && predictor.discriminative())
-      active.emplace_back(&vm, &predictor);
-  // Reused across rounds; predict_into() overwrites every slot it is
-  // handed, so stale entries never leak into this round.
-  results.resize(active.size());
-  // The calibration-stride decision is made here, on the driver, so the
-  // worker-side predict never reads the driver-confined introspector;
-  // unsampled rounds keep the bare (single final distribution)
-  // prediction cost.
+  // The calibration-stride decision is made once per round; unsampled
+  // rounds keep the bare (single final distribution) prediction cost.
   const bool horizon_due =
       ctx_.introspect != nullptr && ctx_.introspect->calibration_due();
-  // The fan-out body: implicitly PREPARE_HOT (the analyzer roots its
-  // no-allocation proof at every parallel_for worker lambda) and the
-  // root of the confinement rule — nothing here may reach the
-  // driver-confined tracer/introspector/EventLog/Application.
-  const auto predict_one = [&](std::size_t i) {
-    active[i].second->predict_into(lookahead_steps_, horizon_due,
-                                   &results[i]);
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(active.size(), predict_one);
-  } else {
-    for (std::size_t i = 0; i < active.size(); ++i) predict_one(i);
-  }
-
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const std::string& vm = *active[i].first;
-    const auto& result = results[i];
+  // One VM at a time, in map (VM) order: predict, then fold the
+  // calibration path, apply the alert, filter push and trace, and record
+  // the evidence frame.
+  auto& result = result_;
+  for (const auto& [vm, predictor] : predictors_) {
+    if (!predictor.ready() || !predictor.discriminative()) continue;
+    predictor.predict_into(lookahead_steps_, horizon_due, &result);
     // Fold this VM's predicted probability path into the calibration
-    // tracker — serial section, map (VM) order, so the fold sequence is
-    // independent of the fan-out's thread count.
+    // tracker.
     if (ctx_.introspect != nullptr && !result.horizon_probs.empty())
       ctx_.introspect->record_horizon_probs(result.horizon_probs);
     const bool raw = result.classification.abnormal &&
@@ -383,8 +351,7 @@ void PrepareController::predict_round(
     // Feed the flight recorder after the filter verdict so the frame
     // carries raw + confirmed. The tracer's raw_alert above already
     // opened any new episode, so an opening tick lands in the capture,
-    // not just the ring. Serial section, map (VM) order: bundles are
-    // byte-identical across --threads.
+    // not just the ring.
     if (ctx_.recorder != nullptr && result.evidence.valid) {
       const auto slot = recorder_slots_.find(vm);
       if (slot != recorder_slots_.end()) {
@@ -411,9 +378,9 @@ void PrepareController::predict_round(
   }
 
   // Model-state probes on the introspector's round cadence: sweep every
-  // trained predictor's transition rows and CPTs in map (VM) order —
-  // serial, driver thread, a handful of rounds apart so the sweep cost
-  // stays inside the overhead bar.
+  // trained predictor's transition rows and CPTs in map (VM) order, a
+  // handful of rounds apart so the sweep cost stays inside the overhead
+  // bar.
   if (ctx_.introspect != nullptr && ctx_.introspect->probe_due()) {
     ctx_.introspect->begin_probe(now);
     for (const auto& [vm, predictor] : predictors_)

@@ -16,14 +16,11 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "apps/application.h"
-#include "common/thread_pool.h"
 #include "core/alarm_filter.h"
 #include "core/anomaly_predictor.h"
 #include "core/cause_inference.h"
@@ -54,35 +51,30 @@ struct ControllerContext {
   /// fallbacks / preventions (must outlive the controller).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional alert-lifecycle span tracer (must outlive the
-  /// controller). The controller drives it only from the serial
-  /// sections of a management round — never from the per-VM prediction
-  /// fan-out — so it needs no locking and a parallel run produces a
-  /// bit-identical span set (DESIGN.md section 10).
+  /// controller). The controller drives it from the management round's
+  /// driver thread, in map (VM) order, so it needs no locking and a run
+  /// produces the same span set every time (DESIGN.md section 10).
   obs::SpanTracer* tracer = nullptr;
   /// Optional model-introspection layer (must outlive the controller):
   /// per-horizon prediction calibration, model-state probes, and drift
-  /// detection. Same confinement contract as the tracer — the per-VM
-  /// fan-out only fills Result::horizon_probs in its own result slot;
-  /// every introspector call happens in the serial sections, in
-  /// deterministic VM order. Driven only with prediction on (the
-  /// reactive baseline has no look-ahead to calibrate and ignores it).
+  /// detection. Same confinement contract as the tracer: every
+  /// introspector call happens on the driver thread, in map (VM) order.
+  /// Driven only with prediction on (the reactive baseline has no
+  /// look-ahead to calibrate and ignores it).
   obs::ModelIntrospect* introspect = nullptr;
   /// Optional episode flight recorder (must outlive the controller).
   /// Same confinement contract again: the controller registers every
-  /// trained VM, feeds one EvidenceFrame per (VM, round) from the
-  /// serial results loop in map (VM) order, and forwards the diagnosis
-  /// ranking; the actuator (which the controller hands the recorder to)
-  /// adds one PreventionEvidence per action attempt. Episode captures
-  /// open/close via the SpanTracer's lifecycle hooks, so the recorder
-  /// is inert unless `tracer` is also set. Driven only with prediction
-  /// on (the reactive baseline has no prediction evidence and ignores
-  /// it).
+  /// trained VM, feeds one EvidenceFrame per (VM, round) in map (VM)
+  /// order, and forwards the diagnosis ranking; the actuator (which the
+  /// controller hands the recorder to) adds one PreventionEvidence per
+  /// action attempt. Episode captures open/close via the SpanTracer's
+  /// lifecycle hooks, so the recorder is inert unless `tracer` is also
+  /// set. Driven only with prediction on (the reactive baseline has no
+  /// prediction evidence and ignores it).
   obs::FlightRecorder* recorder = nullptr;
-  /// Worker threads for the per-VM prediction fan-out (PREPARE keeps
-  /// one independent model per VM, so the Markov look-ahead + TAN
-  /// classification parallelize across VMs). 1 (default) runs fully
-  /// sequentially with no pool; results are bit-identical either way
-  /// because alerts are applied serially in VM order.
+  /// Must be 1: the round runs on one thread (DESIGN.md section 10).
+  /// Kept only because the repo benchmark's harness assigns it; the
+  /// PrepareController constructor rejects any other value.
   std::size_t num_threads = 1;
 };
 
@@ -153,17 +145,17 @@ class PrepareController : public AnomalyManager {
 
  protected:
   /// `predict` = false runs the round without its predictive parts: no
-  /// look-ahead fan-out (so no raw or confirmed alerts), no
-  /// introspection or flight-recorder feeds (ctx.introspect and
-  /// ctx.recorder are ignored), and no workload-change screen. The
-  /// violated-SLO fallback then triggers every diagnosis and action.
+  /// look-ahead (so no raw or confirmed alerts), no introspection or
+  /// flight-recorder feeds (ctx.introspect and ctx.recorder are
+  /// ignored), and no workload-change screen. The violated-SLO fallback
+  /// then triggers every diagnosis and action.
   PrepareController(ControllerContext ctx, PrepareConfig config,
                     bool predict);
 
  private:
-  /// The predictive part of a round: look-ahead fan-out, k-of-W
-  /// filtering, introspection and evidence feeds. Adds each VM with a
-  /// confirmed alert to `confirmed` and `unhealthy`.
+  /// The predictive part of a round: look-ahead, k-of-W filtering,
+  /// introspection and evidence feeds, one VM at a time in map order.
+  /// Adds each VM with a confirmed alert to `confirmed` and `unhealthy`.
   void predict_round(double now,
                      std::map<std::string, Classification>* confirmed,
                      std::set<std::string>* unhealthy);
@@ -182,16 +174,9 @@ class PrepareController : public AnomalyManager {
   CauseInference inference_;
   PreventionActuator actuator_;
   obs::StageProfiler profiler_;
-  /// Workers for the per-VM fan-out; null when num_threads <= 1 or
-  /// prediction is off.
-  std::unique_ptr<ThreadPool> pool_;
-  /// Per-round fan-out state, kept across rounds so the steady state
-  /// allocates nothing: the ready-and-discriminative predictors of this
-  /// round and one reused Result slot per entry (predict_into refills
-  /// slots in place). Driver-owned; workers only touch disjoint slots.
-  std::vector<std::pair<const std::string*, const AnomalyPredictor*>>
-      active_;
-  std::vector<AnomalyPredictor::Result> results_;
+  /// One prediction, reused by every VM in every round so the steady
+  /// state allocates nothing (predict_into refills it in place).
+  AnomalyPredictor::Result result_;
 
   std::size_t raw_alerts_ = 0;
   std::size_t confirmed_alerts_ = 0;

@@ -70,9 +70,9 @@ struct ScenarioConfig {
   /// vs. migration, i.e. Fig. 6/7 vs. Fig. 8/9).
   PrepareConfig prepare;
 
-  /// Worker threads for the controller's per-VM prediction fan-out
-  /// (ControllerContext::num_threads). Results are bit-identical for
-  /// any thread count; only wall-clock stage histograms differ.
+  /// Must be 1 (ControllerContext::num_threads): the management round
+  /// runs on one thread. Kept only because the repo benchmark's harness
+  /// assigns it.
   std::size_t num_threads = 1;
 
   /// Optional observability registry. When set, the run publishes

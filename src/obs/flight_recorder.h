@@ -18,14 +18,13 @@
 // the determinism proof that nothing the controller used is missing.
 //
 // Threading and determinism contract: identical to the SpanTracer. The
-// recorder is PREPARE_DRIVER_CONFINED — the controller feeds it only
-// from the serial sections of a management round, in deterministic
-// (map) VM order, so a --threads 4 run produces byte-identical bundles
-// to --threads 1. The steady-state entry point record_tick() is
-// PREPARE_HOT: after register_vm() pre-sizes the ring (and
-// episode_opened() pre-sizes the open capture), it only copies into
-// capacity-steady storage — the analyzer proves it allocation-, lock-
-// and IO-free.
+// recorder is PREPARE_DRIVER_CONFINED — the controller feeds it from
+// the driver thread in deterministic (map) VM order, so every run of
+// one seed produces byte-identical bundles. The steady-state entry
+// point record_tick() is PREPARE_HOT: after register_vm() pre-sizes the
+// ring (and episode_opened() pre-sizes the open capture), it only copies
+// into capacity-steady storage — the analyzer proves it allocation-,
+// lock- and IO-free.
 //
 // Memory accounting (defaults): ring_ticks=32 frames/VM, one frame ~
 // 13 raw + 13 bins + 13 modes + 13 impacts + ~65 flattened dist

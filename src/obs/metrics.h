@@ -18,11 +18,12 @@
 // Pointers stay valid for the registry's lifetime (reset() clears
 // values, not registrations).
 //
-// Thread safety: recording is safe from any number of threads — the
-// parallel per-VM prediction driver hammers stage histograms and
-// controller counters concurrently (see DESIGN.md "Concurrency model &
-// locking discipline"). Counters and gauges are lock-free atomics;
-// histograms and registration serialize on internal prepare::Mutexes.
+// Thread safety: recording is safe from any number of threads, and the
+// /metrics server thread (obs::MetricsHttpServer) reads every instrument
+// through snapshot() while the driver records (see DESIGN.md
+// "Concurrency model & locking discipline"). Counters and gauges are
+// lock-free atomics; histograms and registration serialize on internal
+// prepare::Mutexes.
 // The whole-map read accessors (counters()/gauges()/histograms()) are
 // the one exception: they are for exporters and require quiescence (no
 // concurrent registration).
@@ -50,8 +51,7 @@ class Counter {
   /// Lock-free: concurrent inc() from any number of threads is safe.
   /// Accumulation uses a CAS loop on an atomic double; the usual deltas
   /// (+1.0 and other small integers) are exactly representable, so the
-  /// total is independent of the interleaving — parallel runs produce
-  /// bit-identical counter values.
+  /// total is independent of the interleaving of concurrent callers.
   void inc(double delta = 1.0) {
     double current = value_.load(std::memory_order_relaxed);
     while (!value_.compare_exchange_weak(current, current + delta,
@@ -171,9 +171,9 @@ class MetricsRegistry {
 
   /// Sorted-by-name views for exporters. Quiescent-only: callers must
   /// ensure no thread registers concurrently (exporters and tests read
-  /// after the run's workers have joined). Recording through already
-  /// registered instruments is fine — elements are individually
-  /// thread-safe and their addresses are stable.
+  /// after the run). Recording through already registered instruments
+  /// is fine — elements are individually thread-safe and their
+  /// addresses are stable.
   const std::map<std::string, Counter>& counters() const
       PREPARE_NO_THREAD_SAFETY_ANALYSIS {
     return counters_;

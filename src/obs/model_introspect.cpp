@@ -174,7 +174,7 @@ void ModelIntrospect::begin_round(double now, bool slo_violated) {
   // recorded at round r0 targets rounds r0+1 .. r0+k, so round r is the
   // (r - r0)-th horizon step of slot r0. Oldest source round first —
   // the fold order is fixed, so the floating accumulators are
-  // bit-identical for any thread count.
+  // bit-identical on every run.
   RoundWindowEntry entry;
   const std::size_t depth = std::min(k, r);
   for (std::size_t h = depth; h >= 1; --h) {

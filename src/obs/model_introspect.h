@@ -23,15 +23,13 @@
 //     v1/v2 records are unchanged).
 //
 // Threading contract: like the SpanTracer, the introspector is confined
-// to the driver thread. The controller computes per-horizon
-// probabilities *inside* the parallel per-VM fan-out (each worker
-// writes only its own result slot) but folds them into this class only
-// from the serial section, in deterministic VM order — so the
+// to the driver thread. The controller folds each VM's per-horizon
+// probabilities into it in deterministic (map) VM order, so the
 // calibration state, drift records, and exported JSONL are bit-identical
-// for any --threads N. No wall clock enters: cadences are round
+// on every run of one seed. No wall clock enters: cadences are round
 // counters, timestamps are sim time. Machine-checked: the class carries
-// PREPARE_DRIVER_CONFINED and tools/prepare_analyze.py proves no
-// parallel_for worker lambda can reach any of its methods.
+// PREPARE_DRIVER_CONFINED, so tools/prepare_analyze.py flags any worker
+// lambda that reaches one of its methods.
 #pragma once
 
 #include <cstddef>
@@ -83,8 +81,8 @@ struct IntrospectConfig {
   /// every horizon step still accumulates calibration samples at the
   /// same (strided) rate (8 divides the default 24-step horizon, so the
   /// resolution schedule stays aligned with it). Deterministic: keyed
-  /// off the round counter, decided on the driver thread before the
-  /// per-VM fan-out.
+  /// off the round counter, decided once per round before any VM
+  /// predicts.
   std::size_t calibration_stride = 8;
   /// Capacity guard: model_drift records beyond this are dropped (and
   /// counted in model.drift.records_dropped_total).

@@ -25,12 +25,12 @@
 //
 // Threading contract: the tracer is confined to the driver thread, like
 // everything in sim/ (see DESIGN.md section 10). The controller calls it
-// only from the serial sections of a management round — never from the
-// per-VM prediction fan-out — so a parallel run produces a bit-identical
-// span set. Machine-checked: the class carries PREPARE_DRIVER_CONFINED
-// and tools/prepare_analyze.py proves no parallel_for worker lambda can
-// reach any of its methods. The metrics it publishes go through the thread-safe obs::
-// instruments and may be scraped live by the metrics HTTP endpoint.
+// in deterministic (map) VM order, so every run of one seed produces a
+// bit-identical span set. Machine-checked: the class carries
+// PREPARE_DRIVER_CONFINED, so tools/prepare_analyze.py flags any worker
+// lambda that reaches one of its methods. The metrics it publishes go
+// through the thread-safe obs:: instruments and may be scraped live by
+// the metrics HTTP endpoint.
 #pragma once
 
 #include <cstddef>

@@ -81,8 +81,8 @@ class ScopedTimer {
 /// registry.
 ///
 /// stage() is thread-safe; recording through the returned histograms is
-/// thread-safe too (the parallel per-VM driver times worker-side stages
-/// into the same histograms). stages() is an export-time read requiring
+/// thread-safe too (the /metrics server thread reads them while the
+/// driver records). stages() is an export-time read requiring
 /// quiescence.
 class StageProfiler {
  public:
@@ -100,7 +100,7 @@ class StageProfiler {
   }
 
   /// Stages in first-use order. Quiescent-only: callers must ensure no
-  /// concurrent stage() registration (reports run after workers join) —
+  /// concurrent stage() registration (reports run after the run) —
   /// the driver-confined annotation makes the analyzer prove no worker
   /// lambda ever reaches this serial section.
   PREPARE_DRIVER_CONFINED

@@ -3,14 +3,16 @@
 // and when; the trace benches print it alongside the SLO metric series.
 //
 // record() is thread-safe (the capacity guard and the event vector move
-// together under one mutex), so parallel pipeline stages may log
-// concurrently. The by-reference events() accessor is the quiescent
+// together under one mutex), so a second thread can log without
+// corrupting the vector; today every record comes from the driver
+// thread. The by-reference events() accessor is the quiescent
 // exception; the counting/serializing readers take the lock.
 //
 // Despite the internal lock, the log is PREPARE_DRIVER_CONFINED: record
-// ORDER is part of the deterministic run output (benches diff it across
-// --threads N), so the controller only records from serial sections —
-// and tools/prepare_analyze.py proves no worker lambda reaches it.
+// ORDER is part of the deterministic run output (tests and CI diff it
+// across two runs of one seed), so the controller records only from
+// the driver thread — and tools/prepare_analyze.py flags any worker
+// lambda that reaches it.
 #pragma once
 
 #include <cstddef>

