@@ -1,7 +1,9 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -37,6 +39,16 @@ const char* applied_action_name(int applied) {
     case 2: return "migrate";
   }
   return "?";
+}
+
+/// The keys prefix + first, prefix + (first + 1), ... (`count` of them).
+std::vector<std::string> numbered_keys(const char* prefix, std::size_t first,
+                                       std::size_t count) {
+  std::vector<std::string> keys;
+  keys.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    keys.push_back(prefix + std::to_string(first + i));
+  return keys;
 }
 
 }  // namespace
@@ -197,12 +209,21 @@ void FlightRecorder::episode_closed(const std::string& vm, double now,
     ++dropped_;
     return;
   }
-  per->open.t_close = now;
-  per->open.outcome = outcome;
-  // Copy (not move): per->open keeps its pre-sized tick storage for the
-  // next capture. Cold path — episodes close a handful of times per run.
-  bundles_.push_back(per->open);
-  bundles_.back().ticks.resize(per->capture_len);
+  EpisodeBundle& open = per->open;
+  open.t_close = now;
+  open.outcome = outcome;
+  // Copy every field but the ticks, then only the captured prefix: the
+  // capture is pre-sized to max_bundle_ticks, and `open` keeps that
+  // storage for the next episode. Not a cold path: a run closes up to
+  // max_bundles bundles, and a seed-111 perfbench `observed` run closes
+  // 8,003 over its 240 scenarios.
+  std::vector<EvidenceTick> storage;
+  storage.swap(open.ticks);
+  bundles_.push_back(open);
+  open.ticks.swap(storage);
+  bundles_.back().ticks.assign(
+      open.ticks.begin(),
+      open.ticks.begin() + static_cast<std::ptrdiff_t>(per->capture_len));
 }
 
 void FlightRecorder::episode_suppressed(const std::string& vm) {
@@ -256,6 +277,21 @@ void FlightRecorder::finish() {
 
 void FlightRecorder::write_evidence_jsonl(std::ostream& os,
                                           const std::string& run_id) const {
+  // The per-attribute and per-horizon-step keys, built once per export
+  // instead of once per field.
+  std::size_t attributes = 0;
+  std::size_t horizon_steps = 0;
+  for (const auto& bundle : bundles_) {
+    attributes = std::max(attributes, bundle.layout.attributes);
+    horizon_steps = std::max(horizon_steps, bundle.layout.horizon_steps);
+  }
+  const auto attr_keys = numbered_keys("attr", 0, attributes);
+  const auto raw_keys = numbered_keys("raw", 0, attributes);
+  const auto bin_keys = numbered_keys("bin", 0, attributes);
+  const auto mode_keys = numbered_keys("mode", 0, attributes);
+  const auto impact_keys = numbered_keys("impact", 0, attributes);
+  const auto modep_keys = numbered_keys("modep", 0, attributes);
+  const auto hp_keys = numbered_keys("hp", 1, horizon_steps);
   for (const auto& bundle : bundles_) {
     const bool decomposable =
         !bundle.ticks.empty() && bundle.ticks.front().decomposable;
@@ -288,8 +324,7 @@ void FlightRecorder::write_evidence_jsonl(std::ostream& os,
           .field("sampling_interval_s", bundle.decision.sampling_interval_s)
           .field("decomposable", decomposable ? 1 : 0);
       for (std::size_t i = 0; i < bundle.layout.attributes; ++i)
-        record.field("attr" + std::to_string(i),
-                     bundle.layout.attribute_names[i]);
+        record.field(attr_keys[i], bundle.layout.attribute_names[i]);
     }
     for (std::size_t s = 0; s < bundle.ticks.size(); ++s) {
       const EvidenceTick& tick = bundle.ticks[s];
@@ -309,23 +344,22 @@ void FlightRecorder::write_evidence_jsonl(std::ostream& os,
           .field("prior", tick.prior_log_odds)
           .field("decomposable", tick.decomposable ? 1 : 0);
       for (std::size_t i = 0; i < bundle.layout.attributes; ++i) {
-        const std::string idx = std::to_string(i);
-        record.field("raw" + idx, tick.raw[i]);
-        record.field("bin" + idx,
+        record.field(raw_keys[i], tick.raw[i]);
+        record.field(bin_keys[i],
                      static_cast<std::uint64_t>(tick.observed_row[i]));
-        record.field("mode" + idx,
+        record.field(mode_keys[i],
                      static_cast<std::uint64_t>(tick.mode_row[i]));
-        record.field("impact" + idx, tick.impacts[i]);
+        record.field(impact_keys[i], tick.impacts[i]);
         // The look-ahead distribution, compacted to the probability the
         // classified mode carried (the full distributions stay in the
         // in-memory bundle for replay).
-        record.field("modep" + idx,
+        record.field(modep_keys[i],
                      tick.dists[bundle.layout.offsets[i] + tick.mode_row[i]]);
       }
       record.field("horizon_len",
                    static_cast<std::uint64_t>(tick.horizon_len));
       for (std::size_t h = 0; h < tick.horizon_len; ++h)
-        record.field("hp" + std::to_string(h + 1), tick.horizon_probs[h]);
+        record.field(hp_keys[h], tick.horizon_probs[h]);
     }
     if (bundle.diagnosis.valid) {
       JsonObject record(os);

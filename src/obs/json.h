@@ -5,51 +5,76 @@
 // validates). This header provides exactly that much JSON — an escaper
 // and a single-object line writer — instead of pulling in a JSON
 // library the container may not have.
+//
+// A JsonObject builds its line in a fixed buffer of its own and hands
+// it to the stream in one write. Keys and strings are escaped a clean
+// run at a time; numbers are written into the buffer by std::to_chars,
+// so a double prints exactly as printf's "%.17g" in the C locale,
+// whatever the process locale is.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace prepare {
 namespace obs {
 
 /// Escapes a string for use inside a JSON string literal (quotes,
 /// backslashes, control characters; UTF-8 passes through untouched).
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
-/// Formats a double as a JSON number. JSON has no NaN/Inf literals, so
-/// non-finite values are emitted as null (the schema checker treats
-/// null as "unavailable").
+/// Formats a double as a JSON number: 17 significant digits, the text
+/// of "%.17g", so every double round-trips. JSON has no NaN/Inf
+/// literals, so non-finite values are emitted as null (the schema
+/// checker treats null as "unavailable").
 std::string json_number(double value);
 
 /// Writes one flat JSON object as a single line. Fields are emitted in
-/// call order; the closing `}\n` is written on destruction (or by
-/// close()).
+/// call order; the line, closed by `}\n`, reaches the stream in one
+/// write on destruction (or by close()). A line longer than the buffer
+/// reaches it in several writes, with the same bytes.
 ///
 ///   JsonObject(os).field("record", "event").field("t", 12.5);
 class JsonObject {
  public:
-  explicit JsonObject(std::ostream& os) : os_(os) { os_ << "{"; }
+  explicit JsonObject(std::ostream& os) : os_(os) { line_[len_++] = '{'; }
   ~JsonObject() { close(); }
   JsonObject(const JsonObject&) = delete;
   JsonObject& operator=(const JsonObject&) = delete;
 
-  JsonObject& field(const std::string& key, const std::string& value);
-  JsonObject& field(const std::string& key, const char* value);
-  JsonObject& field(const std::string& key, double value);
-  JsonObject& field(const std::string& key, std::uint64_t value);
-  JsonObject& field(const std::string& key, int value);
+  JsonObject& field(std::string_view key, std::string_view value);
+  JsonObject& field(std::string_view key, double value);
+  JsonObject& field(std::string_view key, std::uint64_t value);
+  JsonObject& field(std::string_view key, int value);
 
-  /// Writes `}\n`. Idempotent; further field() calls are invalid.
+  /// Writes the line. Idempotent; further field() calls are invalid.
   void close();
 
  private:
-  JsonObject& raw_field(const std::string& key, const std::string& raw);
+  /// Holds every record the exporters write today (the longest, an
+  /// evidence tick record, is at most ~2.4 KB).
+  static constexpr std::size_t kLineBytes = 4096;
+  /// Room kept for one number: "%.17g" of a double takes at most 24
+  /// bytes, an integer at most 20.
+  static constexpr std::size_t kNumberBytes = 32;
+
+  /// Appends the separator and `"key":`.
+  void begin_field(std::string_view key);
+  void append(std::string_view bytes);
+  void append_escaped(std::string_view s);
+  /// Makes room for `n` more bytes (n <= kLineBytes), handing what the
+  /// buffer holds to the stream if it is short of space.
+  void make_room(std::size_t n);
+  void flush();
 
   std::ostream& os_;
   bool closed_ = false;
   bool first_ = true;
+  std::size_t len_ = 0;  ///< filled prefix of line_, the only part read
+  char line_[kLineBytes];
 };
 
 }  // namespace obs

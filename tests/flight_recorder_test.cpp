@@ -185,10 +185,48 @@ TEST(FlightRecorder, EpisodeLongerThanRingIsFullyCapturedUpToCap) {
   EXPECT_EQ(bundle.ticks.back().t, 5.0);
   EXPECT_EQ(bundle.truncated_ticks, 2u);
   EXPECT_EQ(recorder.truncated_ticks_total(), 2u);
+
+  // A close copies only the captured prefix and must leave the open
+  // capture's storage whole: the next episode again fills all 6 slots
+  // (3 pre-context ticks t=5..7, then t=8..10) and truncates t=11..12.
+  recorder.episode_opened("vm-1", "vm-1#2", 8.0);
+  for (double t = 8.0; t < 13.0; t += 1.0) {
+    FrameData data(t, /*raw_alert=*/true);
+    recorder.record_tick(slot, data.frame);
+  }
+  recorder.episode_closed("vm-1", 13.0, "escalated");
+  ASSERT_EQ(recorder.bundles().size(), 2u);
+  const auto& second = recorder.bundles()[1];
+  EXPECT_EQ(second.pre_ticks, 3u);
+  ASSERT_EQ(second.ticks.size(), 6u);
+  for (std::size_t s = 0; s < 6; ++s) {
+    const double t = 5.0 + static_cast<double>(s);
+    const FrameData want(t, /*raw_alert=*/true);
+    EXPECT_EQ(second.ticks[s].t, t);
+    EXPECT_EQ(second.ticks[s].raw[1], want.raw[1]);
+    EXPECT_EQ(second.ticks[s].dists[5], want.dists[5]);
+  }
+  EXPECT_EQ(second.truncated_ticks, 2u);
+  EXPECT_EQ(recorder.truncated_ticks_total(), 4u);
+
+  // The first bundle kept its own ticks.
+  const auto& first = recorder.bundles()[0];
+  ASSERT_EQ(first.ticks.size(), 6u);
+  for (std::size_t s = 0; s < 6; ++s) {
+    const double t = static_cast<double>(s);
+    const FrameData want(t, /*raw_alert=*/true);
+    EXPECT_EQ(first.ticks[s].t, t);
+    EXPECT_EQ(first.ticks[s].raw[1], want.raw[1]);
+    EXPECT_EQ(first.ticks[s].dists[5], want.dists[5]);
+    EXPECT_EQ(first.ticks[s].horizon_len, 2u);
+  }
+  EXPECT_EQ(first.truncated_ticks, 2u);
 }
 
 TEST(FlightRecorder, BackToBackEpisodesShareRingPreContext) {
-  FlightRecorder recorder(nullptr, small_config());
+  FlightRecorderConfig config = small_config();
+  config.max_bundles = 3;
+  FlightRecorder recorder(nullptr, config);
   recorder.set_decision_config(small_decision());
   const auto slot = recorder.register_vm("vm-1", tiny_layout());
   for (double t = 0.0; t < 4.0; t += 1.0) {
@@ -216,6 +254,21 @@ TEST(FlightRecorder, BackToBackEpisodesShareRingPreContext) {
   EXPECT_EQ(second.ticks[1].t, 3.0);
   EXPECT_EQ(second.ticks[2].t, 4.0);  // the first episode's tick
   EXPECT_EQ(second.ticks[3].t, 5.0);
+
+  // Both closes copied 4-tick prefixes; the open capture must still
+  // hold all 6 slots for a long episode (t=3..5 pre-context, t=6..8).
+  recorder.episode_opened("vm-1", "vm-1#3", 6.0);
+  for (double t = 6.0; t < 10.0; t += 1.0) {
+    FrameData data(t, /*raw_alert=*/true);
+    recorder.record_tick(slot, data.frame);
+  }
+  recorder.episode_closed("vm-1", 10.0, "escalated");
+  ASSERT_EQ(recorder.bundles().size(), 3u);
+  const auto& third = recorder.bundles()[2];
+  ASSERT_EQ(third.ticks.size(), 6u);
+  EXPECT_EQ(third.ticks.front().t, 3.0);
+  EXPECT_EQ(third.ticks.back().t, 8.0);
+  EXPECT_EQ(third.truncated_ticks, 1u);
 }
 
 TEST(FlightRecorder, BundleCapDropsAndCounts) {

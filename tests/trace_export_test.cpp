@@ -1,5 +1,10 @@
 #include "obs/trace_export.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -8,7 +13,12 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/rng.h"
+#include "core/experiment.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
+#include "obs/model_introspect.h"
+#include "obs/span_tracer.h"
 #include "sim/event_log.h"
 
 namespace prepare {
@@ -41,8 +51,133 @@ TEST(Json, NumbersRoundTripAndNonFiniteBecomesNull) {
   EXPECT_EQ(std::stod(obs::json_number(1e-9)), 1e-9);
   EXPECT_EQ(obs::json_number(std::numeric_limits<double>::infinity()),
             "null");
+  EXPECT_EQ(obs::json_number(-std::numeric_limits<double>::infinity()),
+            "null");
   EXPECT_EQ(obs::json_number(std::numeric_limits<double>::quiet_NaN()),
             "null");
+}
+
+/// The formatting json_number must reproduce: "%.17g" in the C locale.
+std::string printf_precision17(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+TEST(Json, NumberMatchesPrintfPrecision17) {
+  using Limits = std::numeric_limits<double>;
+  int mismatches = 0;
+  const auto check = [&mismatches](double v) {
+    const std::string want =
+        std::isfinite(v) ? printf_precision17(v) : "null";
+    const std::string got = obs::json_number(v);
+    if (got == want) return;
+    if (++mismatches <= 10)
+      ADD_FAILURE() << "bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(v) << ": " << got
+                    << " != " << want;
+  };
+  for (const double v : {0.0, Limits::denorm_min(), Limits::min(),
+                         Limits::max()}) {
+    check(v);
+    check(-v);
+  }
+  // Every decade a double reaches, and past both ends (underflow to
+  // zero, overflow to inf), at mantissas that stress the rounding.
+  for (int e = -330; e <= 310; ++e) {
+    for (const char* m : {"1", "5", "9.999999999999999",
+                          "1.0000000000000002"}) {
+      const std::string text = std::string(m) + "e" + std::to_string(e);
+      const double v = std::strtod(text.c_str(), nullptr);
+      check(v);
+      check(-v);
+    }
+  }
+  for (int i = -100000; i <= 100000; ++i) check(static_cast<double>(i));
+  // Near 1e16 doubles are 17-digit even integers, printed exactly; at
+  // 1e17 "%.17g" switches from fixed to scientific notation.
+  for (const double pivot : {1e16, 1e17}) {
+    double up = pivot;
+    double down = pivot;
+    for (int step = 0; step < 64; ++step) {
+      check(up);
+      check(down);
+      up = std::nextafter(up, Limits::infinity());
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  Rng rng(20261017);
+  int random_checked = 0;
+  while (random_checked < (1 << 20)) {
+    const double v = std::bit_cast<double>(rng.engine()());
+    if (!std::isfinite(v)) continue;
+    check(v);
+    ++random_checked;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// json_escape as it was first written (snprintf for control bytes):
+/// the reference the clean-run escaper must match byte for byte.
+std::string reference_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(Json, EscapeMatchesReference) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(obs::json_escape(one), reference_escape(one)) << "byte " << b;
+  }
+  std::string mixed = "vm-pe3 \"quoted\" back\\slash\ttab\nline";
+  for (int b = 0; b < 256; ++b) {
+    mixed += static_cast<char>(b);
+    mixed += "run";
+  }
+  mixed += "\xc3\xa9 trailing clean run";
+  EXPECT_EQ(obs::json_escape(mixed), reference_escape(mixed));
+}
+
+// The writer's line buffer holds 4 KB: a longer line reaches the stream
+// in pieces, flushed mid-field and mid-string, with the same bytes.
+TEST(Json, LineLongerThanTheBufferKeepsItsBytes) {
+  std::string text(5000, 'x');  // one clean run longer than the buffer
+  for (int i = 0; i < 3000; ++i) text += i % 7 == 0 ? "\"q\"\n" : "abc";
+  std::string want = "{\"text\":\"" + obs::json_escape(text) + "\"";
+  std::ostringstream os;
+  {
+    JsonObject record(os);
+    record.field("text", text);
+    for (int i = 0; i < 500; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      const double value = 1.0 / (i + 3);
+      record.field(key, value).field(key + "n", i);
+      want += ",\"" + key + "\":" + obs::json_number(value) + ",\"" + key +
+              "n\":" + std::to_string(i);
+    }
+  }
+  want += "}\n";
+  EXPECT_EQ(os.str(), want);
 }
 
 TEST(Json, ObjectIsOneLineAndCloseIsIdempotent) {
@@ -138,6 +273,109 @@ TEST(EventLog, CapacityGuardDropsAndCounts) {
   EXPECT_EQ(registry.counter("events.dropped_total")->value(), 2.0);
   log.clear();
   EXPECT_EQ(log.dropped(), 0u);
+}
+
+// --- pinned export bytes ----------------------------------------------------
+
+/// FNV-1a 64 over `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// `text` without its `"record":"histogram"` lines: histograms carry
+/// wall-clock stage timings, everything else is a function of the seed.
+std::string without_histograms(const std::string& text) {
+  std::string out;
+  for (const std::string& line : lines_of(text)) {
+    if (line.find("\"record\":\"histogram\"") != std::string::npos) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+// Every byte the exporters write for two bundle-heavy runs with all four
+// observers attached, per record family. Both runs reach max_bundles, so
+// the evidence family covers full captures, truncated captures and the
+// drop path. A change to the JSONL writers must keep these digests; a
+// deliberate format change updates them and says why.
+TEST(ObsExport, BytesArePinned) {
+  struct Family {
+    const char* name;
+    std::uint64_t digest;
+    std::size_t bytes;
+  };
+  struct Case {
+    AppKind app;
+    FaultKind fault;
+    std::uint64_t seed;
+    Family families[5];
+  };
+  const Case cases[] = {
+      {AppKind::kSystemS,
+       FaultKind::kCpuHog,
+       1,
+       {{"events", 0x1756a497cd4807b9ULL, 519034},
+        {"spans", 0x0502c1e3e41a93a5ULL, 404522},
+        {"introspection", 0x1436da017d15be2eULL, 13878},
+        {"evidence", 0x08738f5317f0c0b4ULL, 1214974},
+        {"metrics", 0x76a62a7c65ad7f97ULL, 23216}}},
+      {AppKind::kRubis,
+       FaultKind::kMemoryLeak,
+       5,
+       {{"events", 0xd8ee3a6796e758feULL, 147700},
+        {"spans", 0x8b3de289e8c6f429ULL, 77183},
+        {"introspection", 0x42b9e2753d02c271ULL, 13835},
+        {"evidence", 0x6bce4e325f60cec7ULL, 1309600},
+        {"metrics", 0xebfcd2ea823da58aULL, 21925}}},
+  };
+  for (const Case& c : cases) {
+    obs::MetricsRegistry registry;
+    obs::SpanTracer tracer(&registry);
+    obs::ModelIntrospect introspect(&registry);
+    obs::FlightRecorder recorder(&registry);
+    ScenarioConfig config;
+    config.app = c.app;
+    config.fault = c.fault;
+    config.seed = c.seed;
+    config.metrics = &registry;
+    config.tracer = &tracer;
+    config.introspect = &introspect;
+    config.recorder = &recorder;
+    const ScenarioResult result = run_scenario(config);
+    EXPECT_EQ(recorder.bundles_emitted(), recorder.config().max_bundles);
+    EXPECT_GT(recorder.dropped_total(), 0u);
+
+    const std::string run_id = "pin";
+    std::ostringstream events, spans, introspection, evidence, metrics;
+    result.events.to_jsonl(events, run_id);
+    tracer.write_spans_jsonl(spans, run_id);
+    introspect.write_introspection_jsonl(introspection, run_id);
+    recorder.write_evidence_jsonl(evidence, run_id);
+    obs::write_metrics_jsonl(metrics, registry, run_id, config.run_end);
+    const std::string written[5] = {events.str(), spans.str(),
+                                    introspection.str(), evidence.str(),
+                                    without_histograms(metrics.str())};
+    for (std::size_t f = 0; f < 5; ++f) {
+      const Family& pinned = c.families[f];
+      const std::uint64_t digest = fnv1a(written[f]);
+      char got[64];
+      std::snprintf(got, sizeof got, "0x%016llxULL, %zu",
+                    static_cast<unsigned long long>(digest),
+                    written[f].size());
+      SCOPED_TRACE(std::string(app_kind_name(c.app)) + " / " +
+                   fault_kind_name(c.fault) + " seed " +
+                   std::to_string(c.seed) + " / " + pinned.name + " -> " +
+                   got);
+      EXPECT_EQ(digest, pinned.digest);
+      EXPECT_EQ(written[f].size(), pinned.bytes);
+    }
+  }
 }
 
 }  // namespace
