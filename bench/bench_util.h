@@ -2,9 +2,7 @@
 //
 // Each bench binary regenerates one table or figure of the paper: it
 // prints the same rows/series the paper reports and writes a CSV next to
-// it for plotting, plus (where wired) a machine-readable
-// BENCH_<name>.json rate/percentile report (schema: prepare-bench-v1,
-// validated by tools/check_bench_json.py).
+// it for plotting.
 //
 // Output routing: with PREPARE_BENCH_OUT_DIR set, files go there under
 // their stable names (CI points each job at its own directory and then
@@ -20,16 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/csv.h"
 #include "core/experiment.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace prepare::bench {
 
@@ -60,10 +54,6 @@ inline std::string output_path(const std::string& stem,
 
 inline std::string csv_path(const std::string& name) {
   return output_path(name, ".csv");
-}
-
-inline std::string bench_json_path(const std::string& name) {
-  return output_path("BENCH_" + name, ".json");
 }
 
 /// stress-ng-style throughput accounting: benches count simulated work
@@ -110,65 +100,6 @@ class ThroughputMeter {
 /// VM-ticks as results come back and main() calls
 /// `global_meter.report(<bench>)` once before exiting.
 inline ThroughputMeter global_meter;
-
-/// Machine-readable bench report (schema prepare-bench-v1):
-///
-///   {"schema": "prepare-bench-v1", "bench": "<name>",
-///    "config": {...}, "vm_ticks": N, "elapsed_s": S,
-///    "rate_vm_ticks_per_sec": R,
-///    "stages": [{"stage": "tan_classify", "count": N,
-///                "p50_s": ..., "p90_s": ..., "p99_s": ...}, ...]}
-///
-/// `config` carries the knobs that shaped the run (numbers only);
-/// `stages` holds one row per stage.<name>.seconds histogram found in
-/// `registry` (empty list when registry is null or uninstrumented).
-/// Returns the path written. obs/json.h only writes flat single-line
-/// objects, so the nesting is hand-assembled from its escape/number
-/// primitives.
-inline std::string write_bench_json(
-    const std::string& name,
-    const std::vector<std::pair<std::string, double>>& config,
-    const ThroughputMeter& meter, const obs::MetricsRegistry* registry) {
-  const std::string path = bench_json_path(name);
-  std::ofstream os(path);
-  PREPARE_CHECK_MSG(os.good(), "cannot open bench json for writing");
-  os << "{\"schema\": \"prepare-bench-v1\", \"bench\": \""
-     << obs::json_escape(name) << "\", \"config\": {";
-  bool first = true;
-  for (const auto& [key, value] : config) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << obs::json_escape(key) << "\": " << obs::json_number(value);
-  }
-  os << "}, \"vm_ticks\": " << meter.vm_ticks()
-     << ", \"elapsed_s\": " << obs::json_number(meter.elapsed_s())
-     << ", \"rate_vm_ticks_per_sec\": " << obs::json_number(meter.rate())
-     << ", \"stages\": [";
-  first = true;
-  if (registry != nullptr) {
-    const auto snapshot = registry->snapshot();
-    const std::string prefix = "stage.", suffix = ".seconds";
-    for (const auto& [metric, stats] : snapshot.histograms) {
-      if (metric.size() <= prefix.size() + suffix.size() ||
-          metric.compare(0, prefix.size(), prefix) != 0 ||
-          metric.compare(metric.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-        continue;
-      const std::string stage = metric.substr(
-          prefix.size(), metric.size() - prefix.size() - suffix.size());
-      if (!first) os << ", ";
-      first = false;
-      os << "{\"stage\": \"" << obs::json_escape(stage)
-         << "\", \"count\": " << stats.count
-         << ", \"p50_s\": " << obs::json_number(stats.p50)
-         << ", \"p90_s\": " << obs::json_number(stats.p90)
-         << ", \"p99_s\": " << obs::json_number(stats.p99) << "}";
-    }
-  }
-  os << "]}\n";
-  PREPARE_CHECK_MSG(os.good(), "bench json write failed");
-  return path;
-}
 
 /// Violation-time comparison (Figs. 6 and 8): one row per app x fault,
 /// three scheme columns, mean +/- std over `repeats` seeded runs.

@@ -10,6 +10,7 @@
 //   * SLO protection per application (violation time with PREPARE), and
 //   * the management cost per control round as K grows — which should
 //     stay linear in the number of VMs (no cross-application coupling).
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -48,8 +49,7 @@ struct ScaleResult {
   std::size_t vm_ticks = 0;       // simulated work (VMs x ticks)
 };
 
-ScaleResult run_consolidated(std::size_t k, bool managed,
-                             obs::MetricsRegistry* metrics) {
+ScaleResult run_consolidated(std::size_t k, bool managed) {
   SimClock clock;
   Cluster cluster;
   EventLog events;
@@ -93,7 +93,6 @@ ScaleResult run_consolidated(std::size_t k, bool managed,
     if (managed) {
       ControllerContext ctx{instance->app.get(), &cluster, &hypervisor,
                             &instance->store, &instance->slo, &events};
-      ctx.metrics = metrics;
       instance->controller = std::make_unique<PrepareController>(ctx);
     }
     apps.push_back(std::move(instance));
@@ -142,7 +141,8 @@ ScaleResult run_consolidated(std::size_t k, bool managed,
   return result;
 }
 
-/// Parses "1,2,4" into app counts; exits loudly on garbage.
+/// Parses "1,2,4" into app counts; exits loudly on garbage. Each count
+/// is a whole positive decimal token: "1x", "-1" and "" are garbage.
 std::vector<std::size_t> parse_apps_list(const std::string& arg) {
   std::vector<std::size_t> out;
   std::size_t pos = 0;
@@ -150,14 +150,16 @@ std::vector<std::size_t> parse_apps_list(const std::string& arg) {
     std::size_t end = arg.find(',', pos);
     if (end == std::string::npos) end = arg.size();
     const std::string token = arg.substr(pos, end - pos);
-    const unsigned long k = std::strtoul(token.c_str(), nullptr, 10);
-    if (k == 0) {
+    std::size_t k = 0;
+    const char* last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, k);
+    if (ec != std::errc() || ptr != last || k == 0) {
       std::fprintf(stderr, "ext_scale: bad --apps value '%s'\n",
                    token.c_str());
       // NOLINTNEXTLINE(concurrency-mt-unsafe): arg parsing precedes threads
       std::exit(2);
     }
-    out.push_back(static_cast<std::size_t>(k));
+    out.push_back(k);
     pos = end + 1;
   }
   return out;
@@ -166,9 +168,8 @@ std::vector<std::size_t> parse_apps_list(const std::string& arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Default sweep reproduces the scalability table; CI's perf-smoke job
-  // passes --apps=1 for a seconds-long run that still exercises the
-  // whole pipeline and emits the JSON report.
+  // Default sweep reproduces the scalability table; --apps=1 is a short
+  // run that still exercises the whole pipeline.
   std::vector<std::size_t> app_counts = {1, 2, 4, 6};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -189,11 +190,10 @@ int main(int argc, char** argv) {
   std::printf("%5s %5s %22s %22s %18s\n", "apps", "VMs",
               "violation (PREPARE, s)", "violation (none, s)",
               "round cost (us)");
-  obs::MetricsRegistry registry;
   ThroughputMeter meter;
   for (std::size_t k : app_counts) {
-    const auto managed = run_consolidated(k, true, &registry);
-    const auto none = run_consolidated(k, false, nullptr);
+    const auto managed = run_consolidated(k, true);
+    const auto none = run_consolidated(k, false);
     meter.add_vm_ticks(managed.vm_ticks + none.vm_ticks);
     std::printf("%5zu %5zu %22.1f %22.1f %18.1f\n", k, 4 * k,
                 managed.total_violation_s, none.total_violation_s,
@@ -208,11 +208,6 @@ int main(int argc, char** argv) {
               "the per-round management\n cost grows ~linearly with the "
               "VM count — per-VM models do not interact)\n");
   meter.report("ext_scale");
-  const std::string json = write_bench_json(
-      "ext_scale",
-      {{"apps_max", static_cast<double>(app_counts.back())},
-       {"configs", static_cast<double>(app_counts.size())}},
-      meter, &registry);
-  std::printf("-> %s\n-> %s\n", csv_path("ext_scale").c_str(), json.c_str());
+  std::printf("-> %s\n", csv_path("ext_scale").c_str());
   return 0;
 }

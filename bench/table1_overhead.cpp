@@ -21,21 +21,11 @@
 // which match the paper by construction.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <optional>
-#include <sstream>
+#include <utility>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/rng.h"
 #include "core/anomaly_predictor.h"
-#include "core/experiment.h"
-#include "obs/flight_recorder.h"
-#include "obs/model_introspect.h"
-#include "obs/span_tracer.h"
-#include "obs/stage_profiler.h"
 #include "models/markov_bank.h"
 #include "models/tan.h"
 #include "monitor/vm_monitor.h"
@@ -224,114 +214,7 @@ void BM_LiveMigration512MB(benchmark::State& state) {
 }
 BENCHMARK(BM_LiveMigration512MB);
 
-/// Wall time of one full default scenario (System S, memory leak,
-/// PREPARE scheme). `registry` null = uninstrumented build path;
-/// `with_spans` additionally attaches a fresh SpanTracer (the full
-/// alert-lifecycle layer on top of the metrics instruments);
-/// `with_introspect` additionally attaches a fresh ModelIntrospect
-/// (per-horizon calibration + model-state probes + drift detection);
-/// `with_recorder` additionally attaches a fresh FlightRecorder (the
-/// per-VM decision-evidence ring + episode bundle capture).
-double timed_scenario_run(obs::MetricsRegistry* registry, bool with_spans,
-                          bool with_introspect, bool with_recorder,
-                          bench::ThroughputMeter* meter) {
-  ScenarioConfig config;
-  config.seed = 11;
-  config.metrics = registry;
-  std::optional<obs::SpanTracer> tracer;
-  if (with_spans) {
-    tracer.emplace(registry);
-    config.tracer = &*tracer;
-  }
-  std::optional<obs::ModelIntrospect> introspect;
-  if (with_introspect) {
-    introspect.emplace(registry);
-    config.introspect = &*introspect;
-  }
-  std::optional<obs::FlightRecorder> recorder;
-  if (with_recorder) {
-    recorder.emplace(registry);
-    config.recorder = &*recorder;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = run_scenario(config);
-  const auto end = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(result.violation_time);
-  if (meter != nullptr) meter->add_vm_ticks(result.vm_count * result.ticks);
-  return std::chrono::duration<double>(end - start).count();
-}
-
-/// End-to-end stage profile (the runtime complement of the
-/// microbenchmarks above): runs the default scenario with the
-/// StageProfiler attached and prints per-stage p50/p90/p99 — plus the
-/// same scenario bare, with span tracing, with the model introspection
-/// layer, and with the episode flight recorder on top, to measure what
-/// each instrumentation layer costs. The acceptance bar is < 5%
-/// overhead for the full stack (metrics + spans + introspection +
-/// recorder) over bare.
-void report_pipeline_stage_profile() {
-  constexpr int kReps = 15;
-  obs::MetricsRegistry registry;
-  timed_scenario_run(nullptr, false, false, false, nullptr);  // warm-up
-  // Min-of-reps: each variant's best observed wall time. The scenario
-  // is deterministic, so the minimum is the run least disturbed by the
-  // host (scheduler, frequency scaling) and the most comparable
-  // estimator across variants; sums would fold every noise spike in.
-  double bare = 1e9;
-  double with_metrics = 1e9;
-  double with_spans = 1e9;
-  double with_introspect = 1e9;
-  double with_recorder = 1e9;
-  bench::ThroughputMeter meter;
-  for (int r = 0; r < kReps; ++r) {
-    bare = std::min(bare,
-                    timed_scenario_run(nullptr, false, false, false, &meter));
-    with_metrics = std::min(
-        with_metrics, timed_scenario_run(&registry, false, false, false, &meter));
-    with_spans = std::min(
-        with_spans, timed_scenario_run(&registry, true, false, false, &meter));
-    with_introspect = std::min(
-        with_introspect, timed_scenario_run(&registry, true, true, false, &meter));
-    with_recorder = std::min(
-        with_recorder, timed_scenario_run(&registry, true, true, true, &meter));
-  }
-  std::printf("\n-- controller pipeline stage profile (%d scenario runs) --\n",
-              kReps);
-  std::ostringstream table;
-  obs::write_stage_report(registry, table);
-  std::fputs(table.str().c_str(), stdout);
-  const auto overhead = [bare](double instrumented) {
-    return bare <= 0.0 ? 0.0 : (instrumented - bare) / bare * 100.0;
-  };
-  std::printf(
-      "scenario wall time (min of %d): %.3f s bare, %.3f s metrics (%+.2f%%), "
-      "%.3f s metrics+spans (%+.2f%%), "
-      "%.3f s metrics+spans+introspect (%+.2f%%), "
-      "%.3f s metrics+spans+introspect+recorder (%+.2f%%)\n",
-      kReps, bare, with_metrics, overhead(with_metrics), with_spans,
-      overhead(with_spans), with_introspect, overhead(with_introspect),
-      with_recorder, overhead(with_recorder));
-  std::printf(
-      "flight-recorder increment over metrics+spans+introspect: %+.2f%% "
-      "(acceptance bar: < 5%% over bare for the full stack)\n",
-      with_introspect <= 0.0
-          ? 0.0
-          : (with_recorder - with_introspect) / with_introspect * 100.0);
-  meter.report("table1_overhead");
-  const std::string json = bench::write_bench_json(
-      "table1_overhead",
-      {{"scenario_runs", static_cast<double>(kReps * 5)}}, meter, &registry);
-  std::printf("-> %s\n", json.c_str());
-}
-
 }  // namespace
 }  // namespace prepare
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  prepare::report_pipeline_stage_profile();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -6,16 +6,20 @@
 // Prints the SLO violation time (mean +/- std over --repeats seeded
 // runs) and, with --export, writes the last run's metric and SLO traces
 // as CSV for offline analysis / replay through the accuracy harness.
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "common/check.h"
 #include "common/stats.h"
 #include "core/experiment.h"
 #include "core/replay.h"
@@ -98,6 +102,18 @@ FaultKind parse_fault(const std::string& s, const char* argv0) {
   usage(argv0);
 }
 
+/// All of `s` as a number in [lo, hi], which also keeps out NaN and
+/// infinities; usage() otherwise. Unlike std::stoull, no sign on an
+/// unsigned type, and no leading space or trailing text.
+template <typename T>
+T parse_number(const std::string& s, T lo, T hi, const char* argv0) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) usage(argv0);
+  return v;
+}
+
 volatile std::sig_atomic_t g_interrupted = 0;
 
 void on_signal(int /*signum*/) { g_interrupted = 1; }
@@ -148,11 +164,15 @@ int main(int argc, char** argv) {
             PreventionMode::kScalingThenMigration;
       else usage(argv[0]);
     } else if (arg == "--seed") {
-      config.seed = std::stoull(value());
+      config.seed = parse_number<std::uint64_t>(
+          value(), 0, std::numeric_limits<std::uint64_t>::max(), argv[0]);
     } else if (arg == "--repeats") {
-      repeats = std::stoull(value());
+      repeats = parse_number<std::size_t>(
+          value(), 1, std::numeric_limits<std::size_t>::max(), argv[0]);
     } else if (arg == "--sampling") {
-      config.sampling_interval_s = std::stod(value());
+      config.sampling_interval_s = parse_number(
+          value(), std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::max(), argv[0]);
     } else if (arg == "--export") {
       export_prefix = value();
     } else if (arg == "--replay") {
@@ -177,10 +197,10 @@ int main(int argc, char** argv) {
       else if (s == "auto") what_if = 2;
       else usage(argv[0]);
     } else if (arg == "--serve-metrics") {
-      serve_port = std::stoi(value());
-      if (*serve_port < 0 || *serve_port > 65535) usage(argv[0]);
+      serve_port = parse_number(value(), 0, 65535, argv[0]);
     } else if (arg == "--serve-hold-s") {
-      serve_hold_s = std::stod(value());
+      serve_hold_s = parse_number(value(), 0.0,
+                                  std::numeric_limits<double>::max(), argv[0]);
     } else {
       usage(argv[0]);
     }
@@ -203,6 +223,13 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
     return 0;
+  }
+
+  try {
+    check_scenario_config(config);
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   std::printf("app=%s fault=%s", app_kind_name(config.app),

@@ -8,8 +8,8 @@
 //   PREPARE_DRIVER_CONFINED   on a class (or a single method): instances
 //       are confined to the single driver thread. The analyzer builds
 //       the whole-program call graph and proves that no annotated
-//       method is reachable from a worker lambda handed to
-//       ThreadPool::parallel_for (rule `confinement`). Confinement is a
+//       method is reachable from a worker lambda handed to a
+//       ThreadPool::parallel_for (rule `thread-confined`). Confinement is a
 //       determinism contract, not only a race contract — EventLog is
 //       internally locked yet still confined, because the recorded
 //       event ORDER must not depend on worker scheduling.
@@ -23,8 +23,10 @@
 //       the steady state.
 //
 // No code in the tree fans out today: the management round runs on one
-// thread (DESIGN.md section 10), so no worker lambda roots either proof.
-// The confinement rule stays for the parked shard-grain parallelism.
+// thread (DESIGN.md section 10) and there is no ThreadPool, so no worker
+// lambda roots either proof. The rules guard against a reintroduced
+// fan-out (the parked shard-grain parallelism); the analyzer fixtures
+// declare a stand-in ThreadPool to keep them exercised.
 //
 // Deliberate exceptions (e.g. a capacity-steady `resize` that only
 // reuses storage after the first round, or the Histogram instrument's
@@ -50,7 +52,8 @@
 #endif
 
 /// Type (or method) confined to the driver thread: never reachable from
-/// a ThreadPool::parallel_for worker lambda.
+/// a worker lambda handed to a ThreadPool::parallel_for (none exists
+/// today; see above).
 #define PREPARE_DRIVER_CONFINED PREPARE_ANALYZE_ANNOTATION("prepare::driver_confined")
 
 /// Steady-state hot path: transitively allocation-, lock- and IO-free.

@@ -172,7 +172,7 @@ std::unique_ptr<Testbed> build_testbed(const ScenarioConfig& config) {
 
 }  // namespace
 
-ScenarioResult run_scenario(const ScenarioConfig& config) {
+void check_scenario_config(const ScenarioConfig& config) {
   PREPARE_CHECK(config.dt > 0.0);
   PREPARE_CHECK(config.sampling_interval_s >= config.dt);
   const auto sample_every = static_cast<std::size_t>(
@@ -180,6 +180,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   PREPARE_CHECK_MSG(
       std::abs(sample_every * config.dt - config.sampling_interval_s) < 1e-9,
       "sampling interval must be a multiple of dt");
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& config) {
+  check_scenario_config(config);
+  const auto sample_every = static_cast<std::size_t>(
+      std::round(config.sampling_interval_s / config.dt));
 
   auto bed = build_testbed(config);
   ScenarioResult result;

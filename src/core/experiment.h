@@ -119,7 +119,11 @@ struct ScenarioResult {
   EventLog events;
 };
 
-/// Runs one scenario end to end.
+/// Throws CheckFailure when run_scenario() cannot run `config`: dt
+/// must be positive, and the sampling interval a whole multiple of dt.
+void check_scenario_config(const ScenarioConfig& config);
+
+/// Runs one scenario end to end; check_scenario_config() first.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// Runs `repeats` scenarios with seeds seed, seed+1, ... and aggregates

@@ -47,35 +47,38 @@ class Classifier {
   virtual void train(const LabeledDataset& data) = 0;
   virtual bool trained() const = 0;
 
-  /// Classifies a concrete discretized sample.
-  virtual Classification classify(
-      const std::vector<std::size_t>& row) const = 0;
-
-  /// Same result as classify(), written into `out` (non-null) so the
-  /// per-tick caller can reuse one impact vector instead of allocating a
-  /// fresh Classification every round. The default forwards to
-  /// classify(); the Bayesian classifiers override it allocation-free
-  /// (out->impacts only grows on the first call) — that override is the
-  /// steady-state classification path the analyzer proves hot-clean.
+  /// Classifies a concrete discretized sample into `out` (non-null), so
+  /// the per-tick caller can reuse one impact vector instead of
+  /// allocating a fresh Classification every round. Every backend
+  /// implements it allocation-free (out->impacts only grows on the first
+  /// call): it is the steady-state classification path the analyzer
+  /// proves hot-clean.
   virtual void classify_into(const std::vector<std::size_t>& row,
-                             Classification* out) const {
-    *out = classify(row);
-  }
+                             Classification* out) const = 0;
 
   /// Classifies a *predicted* sample given per-attribute value
   /// distributions (assumed independent): each L_i is replaced by its
   /// expectation under the predicted distributions. This is how the
   /// anomaly predictor performs "classification over future data".
-  virtual Classification classify_expected(
-      const std::vector<Distribution>& dists) const = 0;
-
-  /// Same result as classify_expected(), written into `out` (non-null).
-  /// The default forwards to classify_expected(); the backends override
-  /// it allocation-free for the same reason as classify_into() — it is
-  /// the expected-mode arm of the per-tick prediction path.
+  /// Written into `out` (non-null) for the same reason as
+  /// classify_into(): it is the expected-mode arm of the per-tick
+  /// prediction path.
   virtual void classify_expected_into(const std::vector<Distribution>& dists,
-                                      Classification* out) const {
-    *out = classify_expected(dists);
+                                      Classification* out) const = 0;
+
+  /// classify_into() into a fresh Classification.
+  Classification classify(const std::vector<std::size_t>& row) const {
+    Classification out;
+    classify_into(row, &out);
+    return out;
+  }
+
+  /// classify_expected_into() into a fresh Classification.
+  Classification classify_expected(
+      const std::vector<Distribution>& dists) const {
+    Classification out;
+    classify_expected_into(dists, &out);
+    return out;
   }
 
   /// Log-odds score alone (Eq. 1), without the per-attribute impact

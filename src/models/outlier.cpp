@@ -84,13 +84,6 @@ double OutlierClassifier::surprisal(
   return total;
 }
 
-Classification OutlierClassifier::classify(
-    const std::vector<std::size_t>& row) const {
-  Classification out;
-  classify_into(row, &out);
-  return out;
-}
-
 void OutlierClassifier::classify_into(const std::vector<std::size_t>& row,
                                       Classification* out) const {
   PREPARE_CHECK(trained_);
@@ -107,13 +100,6 @@ void OutlierClassifier::classify_into(const std::vector<std::size_t>& row,
   }
   out->score = LogOdds{total - threshold_};
   out->abnormal = out->score > 0.0;
-}
-
-Classification OutlierClassifier::classify_expected(
-    const std::vector<Distribution>& dists) const {
-  Classification out;
-  classify_expected_into(dists, &out);
-  return out;
 }
 
 void OutlierClassifier::classify_expected_into(

@@ -44,13 +44,10 @@ class OutlierClassifier : public Classifier {
   void train(const LabeledDataset& data) override;
   bool trained() const override { return trained_; }
 
-  Classification classify(const std::vector<std::size_t>& row) const override;
   /// Allocation-free like the Bayesian backends' overrides: the
   /// kOutlier configuration takes the same per-tick prediction path.
   PREPARE_HOT void classify_into(const std::vector<std::size_t>& row,
                                  Classification* out) const override;
-  Classification classify_expected(
-      const std::vector<Distribution>& dists) const override;
   PREPARE_HOT void classify_expected_into(const std::vector<Distribution>& dists,
                                           Classification* out) const override;
 

@@ -145,13 +145,6 @@ void TanClassifier::build_impact_tables() {
   }
 }
 
-Classification TanClassifier::classify(
-    const std::vector<std::size_t>& row) const {
-  Classification out;
-  classify_into(row, &out);
-  return out;
-}
-
 void TanClassifier::classify_into(const std::vector<std::size_t>& row,
                                   Classification* out) const {
   PREPARE_CHECK(trained_);
@@ -225,13 +218,6 @@ Classifier::CptStats TanClassifier::cpt_stats() const {
   }
   stats.log_odds_spread = hi - lo;
   return stats;
-}
-
-Classification TanClassifier::classify_expected(
-    const std::vector<Distribution>& dists) const {
-  Classification out;
-  classify_expected_into(dists, &out);
-  return out;
 }
 
 void TanClassifier::classify_expected_into(

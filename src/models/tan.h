@@ -39,11 +39,8 @@ class TanClassifier : public Classifier {
 
   void train(const LabeledDataset& data) override;
   bool trained() const override { return trained_; }
-  Classification classify(const std::vector<std::size_t>& row) const override;
   PREPARE_HOT void classify_into(const std::vector<std::size_t>& row,
                                  Classification* out) const override;
-  Classification classify_expected(
-      const std::vector<Distribution>& dists) const override;
   PREPARE_HOT void classify_expected_into(const std::vector<Distribution>& dists,
                                           Classification* out) const override;
   PREPARE_HOT LogOdds score(const std::vector<std::size_t>& row) const override;
