@@ -140,14 +140,10 @@ std::size_t AnomalyPredictor::attribute_alphabet(std::size_t i) const {
   return discretizers_[i].bins();
 }
 
-void AnomalyPredictor::set_profiler(obs::StageProfiler* profiler) {
-  stage_discretize_ =
-      profiler == nullptr ? nullptr : profiler->stage(obs::kStageDiscretize);
-  stage_lookahead_ = profiler == nullptr
-                         ? nullptr
-                         : profiler->stage(obs::kStageMarkovLookahead);
-  stage_classify_ =
-      profiler == nullptr ? nullptr : profiler->stage(obs::kStageTanClassify);
+void AnomalyPredictor::set_metrics(obs::MetricsRegistry* registry) {
+  stage_discretize_ = obs::stage_histogram(registry, obs::kStageDiscretize);
+  stage_lookahead_ = obs::stage_histogram(registry, obs::kStageMarkovLookahead);
+  stage_classify_ = obs::stage_histogram(registry, obs::kStageTanClassify);
 }
 
 void AnomalyPredictor::set_introspect(obs::ModelIntrospect* introspect) {

@@ -185,9 +185,9 @@ class AnomalyPredictor {
   void set_evidence_capture(bool capture) { capture_evidence_ = capture; }
 
   /// Attaches per-stage wall-time instrumentation (discretize, Markov
-  /// look-ahead, TAN classify). The profiler must outlive the
+  /// look-ahead, TAN classify). The registry must outlive the
   /// predictor; nullptr detaches (the default: zero overhead).
-  void set_profiler(obs::StageProfiler* profiler);
+  void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches the model-introspection layer. With an introspector
   /// attached, train() feeds the discretizer bin-occupancy baselines,

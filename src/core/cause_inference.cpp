@@ -6,43 +6,40 @@
 
 namespace prepare {
 
-CauseInference::CauseInference(std::vector<std::string> vm_names,
-                               Config config)
-    : config_(config), vm_names_(std::move(vm_names)) {
-  PREPARE_CHECK(!vm_names_.empty());
+CauseInference::CauseInference(std::size_t vm_count, Config config)
+    : config_(config),
+      detectors_(vm_count, CusumDetector(config_.cusum)),
+      last_change_time_(vm_count, -1.0) {
+  PREPARE_CHECK(vm_count > 0);
   PREPARE_CHECK(config_.workload_change_fraction > 0.0 &&
                 config_.workload_change_fraction <= 1.0);
-  for (const auto& name : vm_names_) {
-    detectors_.emplace(name, CusumDetector(config_.cusum));
-    last_change_time_.emplace(name, -1.0);
-  }
 }
 
-void CauseInference::observe(const std::string& vm_name, double now,
+void CauseInference::observe(std::size_t vm, double now,
                              const AttributeVector& values) {
-  auto it = detectors_.find(vm_name);
-  PREPARE_CHECK_MSG(it != detectors_.end(), "unknown VM: " + vm_name);
-  if (it->second.update(get(values, Attribute::kNetIn))) {
-    last_change_time_[vm_name] = now;
-    it->second.rearm();
+  PREPARE_CHECK(vm < detectors_.size());
+  if (detectors_[vm].update(get(values, Attribute::kNetIn))) {
+    last_change_time_[vm] = now;
+    detectors_[vm].rearm();
   }
 }
 
 bool CauseInference::workload_change_suspected(double now) const {
   std::size_t recent = 0;
-  for (const auto& name : vm_names_) {
-    const double t = last_change_time_.at(name);
+  for (const double t : last_change_time_)
     if (t >= 0.0 && now - t <= config_.recent_window_s) ++recent;
-  }
   return static_cast<double>(recent) >=
          config_.workload_change_fraction *
-             static_cast<double>(vm_names_.size());
+             static_cast<double>(last_change_time_.size());
 }
 
 Diagnosis CauseInference::diagnose(
-    const std::map<std::string, Classification>& alerting) const {
+    const std::vector<const Classification*>& alerting) const {
+  PREPARE_DCHECK(alerting.size() == detectors_.size());
   Diagnosis out;
-  for (const auto& [vm, cls] : alerting) {
+  for (std::size_t vm = 0; vm < alerting.size(); ++vm) {
+    if (alerting[vm] == nullptr) continue;
+    const Classification& cls = *alerting[vm];
     Diagnosis::FaultyVm faulty;
     faulty.vm = vm;
     faulty.score = cls.score;

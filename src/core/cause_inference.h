@@ -8,8 +8,6 @@
 // time indicate an external workload change [13].
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "models/classifier.h"
@@ -20,7 +18,7 @@ namespace prepare {
 
 struct Diagnosis {
   struct FaultyVm {
-    std::string vm;
+    std::size_t vm = 0;               ///< position in the VM table
     double score = 0.0;               ///< classifier log-odds
     std::vector<Attribute> ranked;    ///< metrics, most relevant first
     std::vector<double> impacts;      ///< L_i per ranked metric (parallel)
@@ -47,31 +45,28 @@ class CauseInference {
  public:
   using Config = CauseInferenceConfig;
 
-  explicit CauseInference(std::vector<std::string> vm_names,
-                          Config config = Config());
+  /// State for VMs 0 .. vm_count-1, the positions FaultyVm::vm carries.
+  explicit CauseInference(std::size_t vm_count, Config config = Config());
 
-  /// Feeds one monitoring sample (workload-sensitive attribute streams
-  /// drive the per-VM change-point detectors).
-  void observe(const std::string& vm_name, double now,
-               const AttributeVector& values);
+  /// Feeds one monitoring sample of VM `vm` (workload-sensitive
+  /// attribute streams drive the per-VM change-point detectors).
+  void observe(std::size_t vm, double now, const AttributeVector& values);
 
-  /// Builds the diagnosis from the per-VM classification results of the
-  /// models that raised (confirmed) alerts.
+  /// Builds the diagnosis from the classification results of the models
+  /// that raised (confirmed) alerts: `alerting[i]` is VM i's, null when
+  /// VM i raised none. Ties in score keep position order.
   Diagnosis diagnose(
-      const std::map<std::string, Classification>& alerting) const;
+      const std::vector<const Classification*>& alerting) const;
 
   /// Whether a workload change is suspected at `now`.
   bool workload_change_suspected(double now) const;
 
-  const Config& config() const { return config_; }
-
  private:
   Config config_;
-  std::vector<std::string> vm_names_;
   /// Per-VM change detector over the workload-sensitive attribute
   /// (network input reflects offered load on every component).
-  std::map<std::string, CusumDetector> detectors_;
-  std::map<std::string, double> last_change_time_;
+  std::vector<CusumDetector> detectors_;
+  std::vector<double> last_change_time_;  ///< negative before the first
 };
 
 }  // namespace prepare

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -40,11 +38,12 @@ std::vector<std::pair<std::string, double>> top_metric_attrs(
   return top;
 }
 
-std::vector<std::string> app_vm_names(const Application* app) {
-  PREPARE_CHECK(app != nullptr);
-  std::vector<std::string> names;
-  for (const Vm* vm : app->vms()) names.push_back(vm->name());
-  return names;
+/// The app's VMs in name order, the order of the controller's VM table.
+std::vector<Vm*> vms_by_name(const Application& app) {
+  std::vector<Vm*> vms = app.vms();
+  std::sort(vms.begin(), vms.end(),
+            [](const Vm* a, const Vm* b) { return a->name() < b->name(); });
+  return vms;
 }
 
 /// With prediction off there is no look-ahead to calibrate and no
@@ -60,8 +59,8 @@ ControllerContext observers_for(ControllerContext ctx, bool predict) {
 
 }  // namespace
 
-AnomalyManager::AnomalyManager(ControllerContext ctx)
-    : ctx_(ctx), vm_names_(app_vm_names(ctx.app)) {
+AnomalyManager::AnomalyManager(ControllerContext ctx) : ctx_(ctx) {
+  PREPARE_CHECK(ctx.app != nullptr);
   PREPARE_CHECK(ctx.cluster != nullptr);
   PREPARE_CHECK(ctx.hypervisor != nullptr);
   PREPARE_CHECK(ctx.store != nullptr);
@@ -83,10 +82,10 @@ PrepareController::PrepareController(ControllerContext ctx,
       lookahead_steps_(TickIndex{static_cast<std::size_t>(std::max(
           1.0,
           std::round(config.lookahead_s / config.sampling_interval_s)))}),
-      inference_(vm_names_, config.inference),
+      inference_(ctx_.app->vms().size(), config.inference),
       actuator_(ctx_.hypervisor, ctx_.cluster, ctx_.store, ctx_.log,
-                config.prevention, ctx_.metrics, ctx_.tracer, ctx_.recorder),
-      profiler_(ctx_.metrics) {
+                vms_by_name(*ctx_.app), config.prevention, ctx_.metrics,
+                ctx_.tracer, ctx_.recorder) {
   PREPARE_CHECK_MSG(ctx_.num_threads == 1,
                     "the management round runs on one thread; "
                     "num_threads must be 1");
@@ -110,17 +109,22 @@ PrepareController::PrepareController(ControllerContext ctx,
     // through its hooks.
     if (ctx_.tracer != nullptr) ctx_.tracer->set_recorder(ctx_.recorder);
   }
-  for (const auto& vm : vm_names_) {
-    auto [it, inserted] =
-        predictors_.emplace(vm, AnomalyPredictor(names, config_.predictor));
-    if (inserted && profiler_.enabled()) it->second.set_profiler(&profiler_);
-    if (inserted && ctx_.introspect != nullptr)
-      it->second.set_introspect(ctx_.introspect);
-    filters_.emplace(vm, AlarmFilter(config_.filter_k, config_.filter_w));
+  const std::vector<Vm*> by_name = vms_by_name(*ctx_.app);
+  for (const Vm* vm : by_name) {
+    vms_.emplace_back(vm->name(), AnomalyPredictor(names, config_.predictor),
+                      AlarmFilter(config_.filter_k, config_.filter_w));
+    vms_.back().predictor.set_metrics(ctx_.metrics);
+    vms_.back().predictor.set_introspect(ctx_.introspect);
   }
-  if (predict_) stage_alarm_filter_ = profiler_.stage(obs::kStageAlarmFilter);
-  stage_cause_inference_ = profiler_.stage(obs::kStageCauseInference);
-  stage_prevention_ = profiler_.stage(obs::kStagePrevention);
+  for (const Vm* vm : ctx_.app->vms())
+    app_order_.push_back(static_cast<std::size_t>(
+        std::find(by_name.begin(), by_name.end(), vm) - by_name.begin()));
+  const auto stage = [this](const char* name) {
+    return obs::stage_histogram(ctx_.metrics, name);
+  };
+  if (predict_) stage_alarm_filter_ = stage(obs::kStageAlarmFilter);
+  stage_cause_inference_ = stage(obs::kStageCauseInference);
+  stage_prevention_ = stage(obs::kStagePrevention);
   raw_alerts_counter_ =
       obs::counter(ctx_.metrics, "controller.raw_alerts_total");
   confirmed_alerts_counter_ =
@@ -131,9 +135,10 @@ PrepareController::PrepareController(ControllerContext ctx,
 
 void PrepareController::train(double t0, double t1) {
   std::size_t trained_models = 0, discriminative_models = 0;
-  for (auto& [vm, predictor] : predictors_) {
+  for (VmEntry& vm : vms_) {
+    AnomalyPredictor& predictor = vm.predictor;
     const LabeledSamples samples =
-        Labeler::label(*ctx_.store, *ctx_.slo, vm, t0, t1);
+        Labeler::label(*ctx_.store, *ctx_.slo, vm.name, t0, t1);
     if (samples.size() == 0) continue;
     predictor.train(samples.columns, samples.abnormal);
     ++trained_models;
@@ -142,8 +147,7 @@ void PrepareController::train(double t0, double t1) {
     // alphabets (quantile binning merges ties), so this must happen
     // after train(). Capture is predictor-side: predict_into() fills
     // Result::evidence.
-    if (ctx_.recorder != nullptr &&
-        recorder_slots_.count(vm) == 0) {
+    if (ctx_.recorder != nullptr && !vm.recorder_slot) {
       obs::EvidenceLayout layout;
       layout.attributes = predictor.feature_names().size();
       layout.offsets.assign(layout.attributes + 1, 0);
@@ -152,13 +156,13 @@ void PrepareController::train(double t0, double t1) {
             layout.offsets[a] + predictor.attribute_alphabet(a);
       layout.attribute_names = predictor.feature_names();
       layout.horizon_steps = lookahead_steps_.value();
-      recorder_slots_.emplace(vm, ctx_.recorder->register_vm(vm, layout));
+      vm.recorder_slot = ctx_.recorder->register_vm(vm.name, layout);
       predictor.set_evidence_capture(true);
     }
     if (predictor.discriminative()) {
       ++discriminative_models;
     } else {
-      PREPARE_INFO("prepare") << "model for " << vm
+      PREPARE_INFO("prepare") << "model for " << vm.name
                               << " is not discriminative (train TPR "
                               << predictor.train_tpr()
                               << "): its alerts are suppressed";
@@ -176,19 +180,17 @@ void PrepareController::train(double t0, double t1) {
 
 void PrepareController::on_sample(double now) {
   // 1. Feed the newest samples into the predictors' Markov contexts and
-  //    the workload-change detectors.
-  for (const auto& vm : vm_names_) {
-    const std::optional<AttributeVector> sample = ctx_.store->latest_sample(vm);
+  //    the workload-change detectors, in app order.
+  for (const std::size_t i : app_order_) {
+    VmEntry& vm = vms_[i];
+    const std::optional<AttributeVector> sample =
+        ctx_.store->latest_sample(vm.name);
     if (!sample) continue;
     {
       obs::ScopedTimer timer(stage_cause_inference_);
-      inference_.observe(vm, now, *sample);
+      inference_.observe(i, now, *sample);
     }
-    if (trained_) {
-      auto it = predictors_.find(vm);
-      if (it != predictors_.end() && it->second.trained())
-        it->second.observe(*sample);
-    }
+    if (trained_ && vm.predictor.trained()) vm.predictor.observe(*sample);
   }
   if (!trained_) return;
 
@@ -202,9 +204,9 @@ void PrepareController::on_sample(double now) {
   }
 
   // 2. Per-VM prediction and false-alarm filtering (prediction on only).
-  std::map<std::string, Classification> alerting;
-  std::set<std::string> unhealthy;
-  if (predict_) predict_round(now, &alerting, &unhealthy);
+  alerting_.assign(vms_.size(), nullptr);
+  unhealthy_.assign(vms_.size(), false);
+  if (predict_) predict_round(now);
 
   // 3. Reactive fallback: the SLO is already violated — diagnose from
   //    the current samples too, in case prediction missed (or confirmed
@@ -212,52 +214,57 @@ void PrepareController::on_sample(double now) {
   //    abnormal with real attribution evidence; if none qualifies, the
   //    single most suspicious VM is acted on (the paper always
   //    intervenes once a violation is detected).
-  std::map<std::string, Classification> reactive;
   if (ctx_.slo->currently_violated()) {
     obs::inc(reactive_fallbacks_counter_);
     PREPARE_INFO("prepare") << "SLO violated at t=" << now
                             << ": entering reactive fallback diagnosis";
+    const auto reactive_alert = [&](std::size_t i, const Classification& cls) {
+      unhealthy_[i] = true;
+      if (alerting_[i] == nullptr) {  // a confirmed VM keeps its prediction
+        vms_[i].alert = cls;
+        alerting_[i] = &vms_[i].alert;
+      }
+      if (ctx_.tracer != nullptr)
+        ctx_.tracer->reactive_alert(vms_[i].name, now);
+    };
     Classification best;
-    std::string best_vm;
-    for (auto& [vm, predictor] : predictors_) {
-      if (!predictor.trained()) continue;
-      const auto cls = predictor.classify_current();
+    std::optional<std::size_t> best_vm;
+    bool any_reactive = false;
+    for (std::size_t i = 0; i < vms_.size(); ++i) {
+      if (!vms_[i].predictor.trained()) continue;
+      Classification cls = vms_[i].predictor.classify_current();
       // Any VM that still classifies abnormal keeps its open validation
       // "unhealthy" — otherwise a drifting pick would bogusly mark
       // earlier preventions as effective mid-violation.
-      if (cls.abnormal) unhealthy.insert(vm);
-      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact)
-        reactive.emplace(vm, cls);
-      if (actuator_.validation_open(vm)) continue;
-      if (best_vm.empty() || cls.score > best.score) {
-        best = cls;
-        best_vm = vm;
+      if (cls.abnormal) unhealthy_[i] = true;
+      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact) {
+        any_reactive = true;
+        reactive_alert(i, cls);
+      }
+      if (actuator_.validation_open(i)) continue;
+      if (!best_vm || cls.score > best.score) {
+        best = std::move(cls);
+        best_vm = i;
       }
     }
-    if (reactive.empty() && !best_vm.empty()) {
-      reactive.emplace(best_vm, best);
-      unhealthy.insert(best_vm);
-    }
-    if (ctx_.tracer != nullptr)
-      for (const auto& [vm, cls] : reactive)
-        ctx_.tracer->reactive_alert(vm, now);
+    if (!any_reactive && best_vm) reactive_alert(*best_vm, best);
   }
 
   // 4. Validation of earlier preventions.
   {
     obs::ScopedTimer timer(stage_prevention_);
-    actuator_.on_sample(now, unhealthy);
+    actuator_.on_sample(now, unhealthy_);
   }
 
-  // 5. Cause inference + actuation over the union of confirmed
-  //    predictions and reactive diagnoses (a confirmed VM keeps its
-  //    predicted classification).
-  alerting.merge(reactive);
-  if (alerting.empty()) return;
+  // 5. Cause inference + actuation over the confirmed predictions and
+  //    the reactive diagnoses.
+  if (std::none_of(alerting_.begin(), alerting_.end(),
+                   [](const Classification* cls) { return cls != nullptr; }))
+    return;
   Diagnosis diagnosis;
   {
     obs::ScopedTimer timer(stage_cause_inference_);
-    diagnosis = inference_.diagnose(alerting);
+    diagnosis = inference_.diagnose(alerting_);
     diagnosis.workload_change =
         predict_ && inference_.workload_change_suspected(now);
   }
@@ -274,18 +281,18 @@ void PrepareController::on_sample(double now) {
       // actuation below still runs unchanged — suppression is an
       // observability decision, not a behavior change.
       for (const auto& faulty : diagnosis.faulty)
-        ctx_.tracer->workload_change_suppressed(faulty.vm, now);
+        ctx_.tracer->workload_change_suppressed(vms_[faulty.vm].name, now);
     } else {
       for (const auto& faulty : diagnosis.faulty) {
-        ctx_.tracer->cause_inferred(faulty.vm, now,
-                                    top_metric_attrs(faulty));
+        const std::string& name = vms_[faulty.vm].name;
+        ctx_.tracer->cause_inferred(name, now, top_metric_attrs(faulty));
         // Full attribution ranking into the open capture (cold path:
         // at most one diagnosis per episode is kept).
         if (ctx_.recorder != nullptr) {
           std::vector<std::size_t> ranked(faulty.ranked.size());
           for (std::size_t r = 0; r < ranked.size(); ++r)
             ranked[r] = static_cast<std::size_t>(faulty.ranked[r]);
-          ctx_.recorder->record_diagnosis(faulty.vm, now, ranked.data(),
+          ctx_.recorder->record_diagnosis(name, now, ranked.data(),
                                           faulty.impacts.data(),
                                           ranked.size());
         }
@@ -298,9 +305,7 @@ void PrepareController::on_sample(double now) {
   }
 }
 
-void PrepareController::predict_round(
-    double now, std::map<std::string, Classification>* confirmed,
-    std::set<std::string>* unhealthy) {
+void PrepareController::predict_round(double now) {
   // Calibration round: resolve the pending horizon predictions whose
   // target round is this one against the realized SLO state (the same
   // outcome definition the Labeler uses for training labels), then open
@@ -312,13 +317,14 @@ void PrepareController::predict_round(
   // rounds keep the bare (single final distribution) prediction cost.
   const bool horizon_due =
       ctx_.introspect != nullptr && ctx_.introspect->calibration_due();
-  // One VM at a time, in map (VM) order: predict, then fold the
-  // calibration path, apply the alert, filter push and trace, and record
-  // the evidence frame.
+  // One VM at a time, in name order: predict, then fold the calibration
+  // path, apply the alert, filter push and trace, and record the
+  // evidence frame.
   auto& result = result_;
-  for (const auto& [vm, predictor] : predictors_) {
-    if (!predictor.ready() || !predictor.discriminative()) continue;
-    predictor.predict_into(lookahead_steps_, horizon_due, &result);
+  for (std::size_t i = 0; i < vms_.size(); ++i) {
+    VmEntry& vm = vms_[i];
+    if (!vm.predictor.ready() || !vm.predictor.discriminative()) continue;
+    vm.predictor.predict_into(lookahead_steps_, horizon_due, &result);
     // Fold this VM's predicted probability path into the calibration
     // tracker.
     if (ctx_.introspect != nullptr && !result.horizon_probs.empty())
@@ -329,62 +335,61 @@ void PrepareController::predict_round(
     if (raw) {
       ++raw_alerts_;
       obs::inc(raw_alerts_counter_);
-      ctx_.log->record(now, EventKind::kAlert, vm, "predicted anomaly");
-      if (ctx_.tracer != nullptr) ctx_.tracer->raw_alert(vm, now);
+      ctx_.log->record(now, EventKind::kAlert, vm.name, "predicted anomaly");
+      if (ctx_.tracer != nullptr) ctx_.tracer->raw_alert(vm.name, now);
     }
     bool vm_confirmed;
     {
       obs::ScopedTimer timer(stage_alarm_filter_);
-      vm_confirmed = filters_.at(vm).push(raw);
+      vm_confirmed = vm.filter.push(raw);
     }
     if (vm_confirmed) {
       ++confirmed_alerts_;
       obs::inc(confirmed_alerts_counter_);
-      confirmed->emplace(vm, result.classification);
-      unhealthy->insert(vm);
-      PREPARE_INFO("prepare") << "confirmed predicted anomaly on " << vm
+      vm.alert = result.classification;
+      alerting_[i] = &vm.alert;
+      unhealthy_[i] = true;
+      PREPARE_INFO("prepare") << "confirmed predicted anomaly on " << vm.name
                               << " at t=" << now;
-      ctx_.log->record(now, EventKind::kAlertConfirmed, vm,
+      ctx_.log->record(now, EventKind::kAlertConfirmed, vm.name,
                        "k-of-W confirmed");
-      if (ctx_.tracer != nullptr) ctx_.tracer->confirmed(vm, now);
+      if (ctx_.tracer != nullptr) ctx_.tracer->confirmed(vm.name, now);
     }
     // Feed the flight recorder after the filter verdict so the frame
     // carries raw + confirmed. The tracer's raw_alert above already
     // opened any new episode, so an opening tick lands in the capture,
     // not just the ring.
-    if (ctx_.recorder != nullptr && result.evidence.valid) {
-      const auto slot = recorder_slots_.find(vm);
-      if (slot != recorder_slots_.end()) {
-        obs::EvidenceFrame frame;
-        frame.t = now;
-        frame.abnormal = result.classification.abnormal;
-        frame.raw_alert = raw;
-        frame.confirmed = vm_confirmed;
-        frame.score = result.classification.score;
-        frame.prior_log_odds = result.evidence.prior_log_odds;
-        frame.decomposable = result.evidence.decomposable;
-        frame.raw = result.evidence.raw.data();
-        frame.observed_row = result.evidence.observed_row.data();
-        frame.mode_row = result.evidence.mode_row.data();
-        frame.impacts = result.classification.impacts.data();
-        frame.dists = result.evidence.dists.data();
-        frame.horizon_probs = result.horizon_probs.empty()
-                                  ? nullptr
-                                  : result.horizon_probs.data();
-        frame.horizon_len = result.horizon_probs.size();
-        ctx_.recorder->record_tick(slot->second, frame);
-      }
+    if (ctx_.recorder != nullptr && result.evidence.valid &&
+        vm.recorder_slot) {
+      obs::EvidenceFrame frame;
+      frame.t = now;
+      frame.abnormal = result.classification.abnormal;
+      frame.raw_alert = raw;
+      frame.confirmed = vm_confirmed;
+      frame.score = result.classification.score;
+      frame.prior_log_odds = result.evidence.prior_log_odds;
+      frame.decomposable = result.evidence.decomposable;
+      frame.raw = result.evidence.raw.data();
+      frame.observed_row = result.evidence.observed_row.data();
+      frame.mode_row = result.evidence.mode_row.data();
+      frame.impacts = result.classification.impacts.data();
+      frame.dists = result.evidence.dists.data();
+      frame.horizon_probs = result.horizon_probs.empty()
+                                ? nullptr
+                                : result.horizon_probs.data();
+      frame.horizon_len = result.horizon_probs.size();
+      ctx_.recorder->record_tick(*vm.recorder_slot, frame);
     }
   }
 
   // Model-state probes on the introspector's round cadence: sweep every
-  // trained predictor's transition rows and CPTs in map (VM) order, a
+  // trained predictor's transition rows and CPTs in name order, a
   // handful of rounds apart so the sweep cost stays inside the overhead
   // bar.
   if (ctx_.introspect != nullptr && ctx_.introspect->probe_due()) {
     ctx_.introspect->begin_probe(now);
-    for (const auto& [vm, predictor] : predictors_)
-      if (predictor.trained()) predictor.report_model_state();
+    for (const VmEntry& vm : vms_)
+      if (vm.predictor.trained()) vm.predictor.report_model_state();
     ctx_.introspect->end_probe();
   }
 }

@@ -15,8 +15,7 @@
 // MetricStore, on_sample(now) runs one management round.
 #pragma once
 
-#include <map>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,19 +51,19 @@ struct ControllerContext {
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional alert-lifecycle span tracer (must outlive the
   /// controller). The controller drives it from the management round's
-  /// driver thread, in map (VM) order, so it needs no locking and a run
+  /// driver thread, in VM-name order, so it needs no locking and a run
   /// produces the same span set every time (DESIGN.md section 10).
   obs::SpanTracer* tracer = nullptr;
   /// Optional model-introspection layer (must outlive the controller):
   /// per-horizon prediction calibration, model-state probes, and drift
   /// detection. Same confinement contract as the tracer: every
-  /// introspector call happens on the driver thread, in map (VM) order.
+  /// introspector call happens on the driver thread, in VM-name order.
   /// Driven only with prediction on (the reactive baseline has no
   /// look-ahead to calibrate and ignores it).
   obs::ModelIntrospect* introspect = nullptr;
   /// Optional episode flight recorder (must outlive the controller).
   /// Same confinement contract again: the controller registers every
-  /// trained VM, feeds one EvidenceFrame per (VM, round) in map (VM)
+  /// trained VM, feeds one EvidenceFrame per (VM, round) in VM-name
   /// order, and forwards the diagnosis ranking; the actuator (which the
   /// controller hands the recorder to) adds one PreventionEvidence per
   /// action attempt. Episode captures open/close via the SpanTracer's
@@ -114,8 +113,6 @@ class AnomalyManager {
 
  protected:
   ControllerContext ctx_;
-  /// The app's VMs, in its order (the VM set is fixed).
-  const std::vector<std::string> vm_names_;
 };
 
 class NoInterventionManager : public AnomalyManager {
@@ -137,7 +134,6 @@ class PrepareController : public AnomalyManager {
   }
 
   bool trained() const { return trained_; }
-  const PrepareConfig& config() const { return config_; }
 
   // Counters for experiments / tests.
   std::size_t raw_alerts() const { return raw_alerts_; }
@@ -153,27 +149,34 @@ class PrepareController : public AnomalyManager {
                     bool predict);
 
  private:
+  struct VmEntry {
+    std::string name;
+    AnomalyPredictor predictor;
+    AlarmFilter filter;
+    std::optional<std::size_t> recorder_slot;  ///< set by train()
+    Classification alert;  ///< this round's, when alerting_ points here
+  };
+
   /// The predictive part of a round: look-ahead, k-of-W filtering,
-  /// introspection and evidence feeds, one VM at a time in map order.
-  /// Adds each VM with a confirmed alert to `confirmed` and `unhealthy`.
-  void predict_round(double now,
-                     std::map<std::string, Classification>* confirmed,
-                     std::set<std::string>* unhealthy);
+  /// introspection and evidence feeds, one VM at a time in name order.
+  void predict_round(double now);
 
   PrepareConfig config_;
   bool predict_;
   TickIndex lookahead_steps_;
   bool trained_ = false;
 
-  std::map<std::string, AnomalyPredictor> predictors_;
-  std::map<std::string, AlarmFilter> filters_;
-  /// Flight-recorder slot per registered VM (filled in train() when
-  /// ctx.recorder is set; the per-VM evidence layout depends on the
-  /// trained discretizer alphabets).
-  std::map<std::string, std::size_t> recorder_slots_;
+  /// The app's VMs in name order, the order of every per-VM walk but
+  /// the observe loop; inference_ and actuator_ use the same positions.
+  std::vector<VmEntry> vms_;
+  /// Positions of the app's VMs in app order, the observe loop's order.
+  std::vector<std::size_t> app_order_;
+  /// Round scratch by position: each alerting VM's classification (null
+  /// when quiet), and whether each VM is still unhealthy.
+  std::vector<const Classification*> alerting_;
+  std::vector<bool> unhealthy_;
   CauseInference inference_;
   PreventionActuator actuator_;
-  obs::StageProfiler profiler_;
   /// One prediction, reused by every VM in every round so the steady
   /// state allocates nothing (predict_into refills it in place).
   AnomalyPredictor::Result result_;

@@ -230,8 +230,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       break;
   }
 
-  obs::StageProfiler profiler(config.metrics);
-  obs::Histogram* stage_monitor = profiler.stage(obs::kStageMonitorSample);
+  obs::Histogram* stage_monitor =
+      obs::stage_histogram(config.metrics, obs::kStageMonitorSample);
   obs::Counter* ticks_counter = obs::counter(config.metrics, "run.ticks_total");
   obs::Counter* samples_counter =
       obs::counter(config.metrics, "run.samples_total");

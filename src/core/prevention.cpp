@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -13,6 +14,7 @@ PreventionActuator::PreventionActuator(Hypervisor* hypervisor,
                                        Cluster* cluster,
                                        const MetricStore* store,
                                        EventLog* log,
+                                       const std::vector<Vm*>& vms,
                                        PreventionConfig config,
                                        obs::MetricsRegistry* metrics,
                                        obs::SpanTracer* tracer,
@@ -34,9 +36,10 @@ PreventionActuator::PreventionActuator(Hypervisor* hypervisor,
   PREPARE_CHECK(cluster != nullptr);
   PREPARE_CHECK(store != nullptr);
   PREPARE_CHECK(log != nullptr);
-  for (const auto& vm : cluster_->vms())
-    baseline_.emplace(vm->name(),
-                      std::make_pair(vm->cpu_alloc(), vm->mem_alloc()));
+  const double never = -std::numeric_limits<double>::infinity();
+  for (Vm* vm : vms)
+    vms_.push_back(
+        {vm, vm->cpu_alloc(), vm->mem_alloc(), std::nullopt, never, never});
 }
 
 PreventionActuator::MetricKind PreventionActuator::kind_of(Attribute a) {
@@ -64,7 +67,7 @@ double PreventionActuator::lookback_mean(const std::string& vm, Attribute a,
   return mean.value_or(0.0);
 }
 
-bool PreventionActuator::try_scale(Vm* vm, MetricKind kind, double /*now*/) {
+bool PreventionActuator::try_scale(Vm* vm, MetricKind kind) {
   Host* host = cluster_->host_of(*vm);
   PREPARE_CHECK(host != nullptr);
   if (kind == MetricKind::kCpu) {
@@ -84,12 +87,10 @@ bool PreventionActuator::try_scale(Vm* vm, MetricKind kind, double /*now*/) {
   return false;
 }
 
-bool PreventionActuator::try_migrate(Vm* vm, MetricKind kind, double now) {
-  (void)kind;
-  const auto last = last_migration_time_.find(vm->name());
-  if (last != last_migration_time_.end() &&
-      now - last->second < config_.migration_cooldown_s)
+bool PreventionActuator::try_migrate(ManagedVm& m, double now) {
+  if (now - m.last_migration_time < config_.migration_cooldown_s)
     return false;
+  Vm* vm = m.vm;
   // Land with generous headroom on BOTH resources: the paper relocates
   // the faulty VM "to a host with desired resources" (matching the VM's
   // demand pattern, PAC [15]) — a second migration is far more expensive
@@ -111,7 +112,7 @@ bool PreventionActuator::try_migrate(Vm* vm, MetricKind kind, double now) {
     return false;
   }
   if (!hypervisor_->migrate(vm, target, cpu_after, mem_after)) return false;
-  last_migration_time_[vm->name()] = now;
+  m.last_migration_time = now;
   return true;
 }
 
@@ -137,11 +138,11 @@ bool PreventionActuator::probe_can_scale(const Vm& vm, MetricKind kind) const {
   return false;
 }
 
-bool PreventionActuator::probe_can_migrate(const Vm& vm, double now) const {
+bool PreventionActuator::probe_can_migrate(const ManagedVm& m,
+                                           double now) const {
+  const Vm& vm = *m.vm;
   if (vm.migrating()) return false;
-  const auto last = last_migration_time_.find(vm.name());
-  if (last != last_migration_time_.end() &&
-      now - last->second < config_.migration_cooldown_s)
+  if (now - m.last_migration_time < config_.migration_cooldown_s)
     return false;
   const double cpu_after = vm.cpu_alloc() * config_.migration_cpu_factor;
   const double mem_after = vm.mem_alloc() * config_.migration_mem_factor;
@@ -150,7 +151,7 @@ bool PreventionActuator::probe_can_migrate(const Vm& vm, double now) const {
          nullptr;
 }
 
-void PreventionActuator::record_attempt(const Vm& vm, Attribute a,
+void PreventionActuator::record_attempt(const ManagedVm& m, Attribute a,
                                         MetricKind kind, double now,
                                         int phase, bool scale_known,
                                         bool scale_ok, bool migrate_known,
@@ -161,14 +162,13 @@ void PreventionActuator::record_attempt(const Vm& vm, Attribute a,
   ev.phase = phase;
   ev.attribute = static_cast<std::size_t>(a);
   ev.metric_kind = static_cast<int>(kind);
-  ev.scale_possible = scale_known ? scale_ok : probe_can_scale(vm, kind);
-  ev.migrate_possible =
-      migrate_known ? migrate_ok : probe_can_migrate(vm, now);
+  ev.scale_possible = scale_known ? scale_ok : probe_can_scale(*m.vm, kind);
+  ev.migrate_possible = migrate_known ? migrate_ok : probe_can_migrate(m, now);
   ev.applied = applied;
-  recorder_->record_prevention(vm.name(), ev);
+  recorder_->record_prevention(m.vm->name(), ev);
 }
 
-bool PreventionActuator::apply_action(Vm* vm, Attribute a, double now,
+bool PreventionActuator::apply_action(ManagedVm& m, Attribute a, double now,
                                       int phase) {
   const MetricKind kind = kind_of(a);
   // Track which feasibility checks the mode actually consulted and how
@@ -180,39 +180,39 @@ bool PreventionActuator::apply_action(Vm* vm, Attribute a, double now,
   switch (config_.mode) {
     case PreventionMode::kScalingOnly:
       if (kind != MetricKind::kOther) {
-        scale_ok = try_scale(vm, kind, now);
+        scale_ok = try_scale(m.vm, kind);
         scale_known = true;
         if (scale_ok) applied = 1;
       }
       break;
     case PreventionMode::kMigrationOnly:
-      migrate_ok = try_migrate(vm, kind, now);
+      migrate_ok = try_migrate(m, now);
       migrate_known = true;
       if (migrate_ok) {
         applied = 2;
       } else if (kind != MetricKind::kOther) {
         // Migration unavailable (cooldown, no target host): scaling on
         // the current host is the only remaining remedy.
-        scale_ok = try_scale(vm, kind, now);
+        scale_ok = try_scale(m.vm, kind);
         scale_known = true;
         if (scale_ok) applied = 1;
       }
       break;
     case PreventionMode::kScalingThenMigration:
       if (kind != MetricKind::kOther) {
-        scale_ok = try_scale(vm, kind, now);
+        scale_ok = try_scale(m.vm, kind);
         scale_known = true;
       }
       if (scale_ok) {
         applied = 1;
       } else {
-        migrate_ok = try_migrate(vm, kind, now);
+        migrate_ok = try_migrate(m, now);
         migrate_known = true;
         if (migrate_ok) applied = 2;
       }
       break;
   }
-  record_attempt(*vm, a, kind, now, phase, scale_known, scale_ok,
+  record_attempt(m, a, kind, now, phase, scale_known, scale_ok,
                  migrate_known, migrate_ok, applied);
   return applied != 0;
 }
@@ -220,26 +220,26 @@ bool PreventionActuator::apply_action(Vm* vm, Attribute a, double now,
 bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
                                  double now) {
   if (validation_open(faulty.vm)) return false;
-  Vm* vm = cluster_->find_vm(faulty.vm);
-  PREPARE_CHECK_MSG(vm != nullptr, "unknown VM: " + faulty.vm);
-  if (vm->migrating()) return false;
+  ManagedVm& m = vms_[faulty.vm];
+  if (m.vm->migrating()) return false;
+  const std::string& name = m.vm->name();
 
   for (std::size_t i = 0; i < faulty.ranked.size(); ++i) {
     const Attribute a = faulty.ranked[i];
-    if (!apply_action(vm, a, now)) continue;
+    if (!apply_action(m, a, now)) continue;
     ++actions_fired_;
     obs::inc(actions_counter_);
     std::ostringstream detail;
     detail << "acted on " << attribute_name(a) << " (rank " << i << ")";
-    log_->record(now, EventKind::kPrevention, faulty.vm, detail.str());
+    log_->record(now, EventKind::kPrevention, name, detail.str());
     if (tracer_ != nullptr)
-      tracer_->prevention_issued(faulty.vm, now, detail.str());
+      tracer_->prevention_issued(name, now, detail.str());
     PendingValidation pv;
     pv.action_time = now;
     pv.acted = a;
     pv.ranked = faulty.ranked;
     pv.next_index = i + 1;
-    pv.lookback_mean = lookback_mean(faulty.vm, a, now);
+    pv.lookback_mean = lookback_mean(name, a, now);
     // Also act on the next ranked metric of the *other* resource kind:
     // a saturating CPU is often the symptom of a memory root cause (or
     // vice versa), and a second scaling is far cheaper than a
@@ -252,60 +252,60 @@ bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
       for (std::size_t j = i + 1; j < faulty.ranked.size(); ++j) {
         const MetricKind other = kind_of(faulty.ranked[j]);
         if (other == MetricKind::kOther || other == primary) continue;
-        const bool companion_ok = try_scale(vm, other, now);
-        record_attempt(*vm, faulty.ranked[j], other, now, /*phase=*/1,
+        const bool companion_ok = try_scale(m.vm, other);
+        record_attempt(m, faulty.ranked[j], other, now, /*phase=*/1,
                        /*scale_known=*/true, companion_ok,
                        /*migrate_known=*/false, false,
                        companion_ok ? 1 : 0);
         if (companion_ok) {
           ++actions_fired_;
           obs::inc(actions_counter_);
-          log_->record(now, EventKind::kPrevention, faulty.vm,
+          log_->record(now, EventKind::kPrevention, name,
                        "companion action on " +
                            attribute_name(faulty.ranked[j]));
           if (tracer_ != nullptr)
             tracer_->prevention_issued(
-                faulty.vm, now,
+                name, now,
                 "companion action on " + attribute_name(faulty.ranked[j]));
           pv.next_index = j + 1;
         }
         break;
       }
     }
-    pending_[faulty.vm] = std::move(pv);
-    last_action_time_[faulty.vm] = now;
+    m.pending = std::move(pv);
+    m.last_action_time = now;
     return true;
   }
-  log_->record(now, EventKind::kInfo, faulty.vm,
+  log_->record(now, EventKind::kInfo, name,
                "no applicable prevention action");
   PREPARE_WARN("prevention")
-      << "no applicable action for " << faulty.vm << " at t=" << now
+      << "no applicable action for " << name << " at t=" << now
       << " (every ranked metric exhausted)";
   if (tracer_ != nullptr)
-    tracer_->escalated(faulty.vm, now, "no applicable prevention action");
+    tracer_->escalated(name, now, "no applicable prevention action");
   return false;
 }
 
 void PreventionActuator::on_sample(double now,
-                                   const std::set<std::string>& unhealthy) {
+                                   const std::vector<bool>& unhealthy) {
+  PREPARE_DCHECK(unhealthy.size() == vms_.size());
   maybe_reclaim(now, unhealthy);
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const std::string& vm_name = it->first;
-    PendingValidation& pv = it->second;
-    if (now < pv.action_time + config_.validation_delay_s) {
-      ++it;
-      continue;
-    }
+  for (std::size_t i = 0; i < vms_.size(); ++i) {
+    ManagedVm& m = vms_[i];
+    if (!m.pending) continue;
+    const std::string& vm_name = m.vm->name();
+    PendingValidation& pv = *m.pending;
+    if (now < pv.action_time + config_.validation_delay_s) continue;
     if (!config_.validation_enabled) {
       // Ablation mode: the record simply expires, successful or not.
-      it = pending_.erase(it);
+      m.pending.reset();
       continue;
     }
-    if (unhealthy.count(vm_name) == 0) {
+    if (!unhealthy[i]) {
       log_->record(now, EventKind::kValidation, vm_name,
                    "prevention effective: alerts cleared");
       if (tracer_ != nullptr) tracer_->validated(vm_name, now);
-      it = pending_.erase(it);
+      m.pending.reset();
       continue;
     }
     // Still unhealthy: did the acted metric respond at all?
@@ -328,12 +328,10 @@ void PreventionActuator::on_sample(double now,
     log_->record(now, EventKind::kValidation, vm_name, detail.str());
 
     // Try the next ranked metric, skipping non-actionable ones.
-    Vm* vm = cluster_->find_vm(vm_name);
     bool reacted = false;
     while (pv.next_index < pv.ranked.size()) {
       const Attribute next = pv.ranked[pv.next_index++];
-      if (vm != nullptr && !vm->migrating() &&
-          apply_action(vm, next, now, /*phase=*/2)) {
+      if (!m.vm->migrating() && apply_action(m, next, now, /*phase=*/2)) {
         ++actions_fired_;
         obs::inc(actions_counter_);
         log_->record(now, EventKind::kPrevention, vm_name,
@@ -344,70 +342,66 @@ void PreventionActuator::on_sample(double now,
         pv.action_time = now;
         pv.acted = next;
         pv.lookback_mean = lookback_mean(vm_name, next, now);
-        last_action_time_[vm_name] = now;
+        m.last_action_time = now;
         reacted = true;
         break;
       }
     }
-    if (reacted) {
-      ++it;
-    } else {
+    if (!reacted) {
       // Ranking exhausted: close the record so a later confirmed alert
       // can retry from the top (e.g. scale further as a leak keeps
       // growing).
       if (tracer_ != nullptr)
         tracer_->escalated(vm_name, now, "ranking exhausted");
-      it = pending_.erase(it);
+      m.pending.reset();
     }
   }
 }
 
-bool PreventionActuator::validation_open(const std::string& vm_name) const {
-  return pending_.count(vm_name) != 0;
+bool PreventionActuator::validation_open(std::size_t vm) const {
+  PREPARE_DCHECK(vm < vms_.size());
+  return vms_[vm].pending.has_value();
 }
 
 void PreventionActuator::maybe_reclaim(double now,
-                                       const std::set<std::string>& unhealthy) {
+                                       const std::vector<bool>& unhealthy) {
   if (!config_.reclaim_enabled) return;
-  for (const auto& [vm_name, base] : baseline_) {
-    if (unhealthy.count(vm_name) != 0) continue;
-    if (validation_open(vm_name)) continue;
-    const auto last = last_action_time_.find(vm_name);
-    if (last != last_action_time_.end() &&
-        now - last->second < config_.reclaim_idle_s)
-      continue;
-    Vm* vm = cluster_->find_vm(vm_name);
-    if (vm == nullptr || vm->migrating()) continue;
-    if (store_->sample_count(vm_name) == 0) continue;
+  for (std::size_t i = 0; i < vms_.size(); ++i) {
+    ManagedVm& m = vms_[i];
+    if (unhealthy[i] || m.pending) continue;
+    if (now - m.last_action_time < config_.reclaim_idle_s) continue;
+    Vm* vm = m.vm;
+    const std::string& vm_name = vm->name();
+    if (vm->migrating() || store_->sample_count(vm_name) == 0) continue;
 
     const double window_start = now - config_.reclaim_idle_s;
     // CPU: shrink toward baseline when sustained utilization is low.
-    if (vm->cpu_alloc() > base.first * 1.01) {
+    if (vm->cpu_alloc() > m.baseline_cpu * 1.01) {
       const auto util = store_->series(vm_name, Attribute::kCpuUtil)
                             .mean_between(window_start, now);
       if (util && *util < config_.reclaim_cpu_util_pct) {
         const double target =
-            std::max(base.first, vm->cpu_alloc() * config_.reclaim_factor);
+            std::max(m.baseline_cpu, vm->cpu_alloc() * config_.reclaim_factor);
         if (hypervisor_->scale_cpu(vm, target)) {
           log_->record(now, EventKind::kInfo, vm_name,
                        "elastic reclaim: cpu scaled down");
           obs::inc(reclaims_counter_);
-          last_action_time_[vm_name] = now;
+          m.last_action_time = now;
         }
       }
     }
     // Memory: shrink toward baseline when sustained usage is low.
-    if (vm->mem_alloc() > base.second * 1.01) {
+    if (vm->mem_alloc() > m.baseline_mem * 1.01) {
       const auto util = store_->series(vm_name, Attribute::kMemUtil)
                             .mean_between(window_start, now);
       if (util && *util < config_.reclaim_mem_util_pct) {
         const double target =
-            std::max(base.second, vm->mem_alloc() * config_.reclaim_factor);
+            std::max(m.baseline_mem, vm->mem_alloc() * config_.reclaim_factor);
         if (hypervisor_->scale_memory(vm, target)) {
           log_->record(now, EventKind::kInfo, vm_name,
                        "elastic reclaim: memory scaled down");
           obs::inc(reclaims_counter_);
-          last_action_time_[vm_name] = now;
+          m.last_action_time = now;
         }
       }
     }

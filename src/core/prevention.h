@@ -20,8 +20,7 @@
 // wrong metric and the next metric in the TAN ranking is tried.
 #pragma once
 
-#include <map>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,14 +87,17 @@ struct PreventionConfig {
 
 class PreventionActuator {
  public:
-  /// `metrics` (optional) receives prevention.* counters; `tracer`
-  /// (optional) receives the prevention-side episode transitions
-  /// (prevention_issued / validated / escalated); `recorder` (optional)
-  /// receives one PreventionEvidence per action attempt (including
-  /// failed ones) so episode bundles carry every prevention decision
-  /// input. All must outlive the actuator.
+  /// Manages `vms`, whose allocations now are the baselines: FaultyVm::vm,
+  /// `unhealthy` and validation_open() index them by position, and every
+  /// per-VM walk runs in their order. `metrics` (optional) receives
+  /// prevention.* counters; `tracer` (optional) receives the
+  /// prevention-side episode transitions (prevention_issued / validated /
+  /// escalated); `recorder` (optional) receives one PreventionEvidence
+  /// per action attempt (including failed ones) so episode bundles carry
+  /// every prevention decision input. All must outlive the actuator.
   PreventionActuator(Hypervisor* hypervisor, Cluster* cluster,
                      const MetricStore* store, EventLog* log,
+                     const std::vector<Vm*>& vms,
                      PreventionConfig config = PreventionConfig(),
                      obs::MetricsRegistry* metrics = nullptr,
                      obs::SpanTracer* tracer = nullptr,
@@ -105,14 +107,12 @@ class PreventionActuator {
   /// an action was fired. No-op while a validation for that VM is open.
   bool actuate(const Diagnosis::FaultyVm& faulty, double now);
 
-  /// Drives validation; call once per sampling interval with the set of
-  /// VMs that are still unhealthy (alerting or SLO-violating).
-  void on_sample(double now, const std::set<std::string>& unhealthy);
+  /// Drives validation; call once per sampling interval. `unhealthy[i]`
+  /// says whether VM i is still unhealthy (alerting or SLO-violating).
+  void on_sample(double now, const std::vector<bool>& unhealthy);
 
-  /// Whether a validation is currently open for the VM.
-  bool validation_open(const std::string& vm_name) const;
-
-  const PreventionConfig& config() const { return config_; }
+  /// Whether a validation is currently open for VM `vm`.
+  bool validation_open(std::size_t vm) const;
 
   // Counters for experiments / tests.
   std::size_t actions_fired() const { return actions_fired_; }
@@ -127,30 +127,39 @@ class PreventionActuator {
     double lookback_mean = 0.0;
   };
 
+  struct ManagedVm {
+    Vm* vm;
+    double baseline_cpu;  ///< cores
+    double baseline_mem;  ///< MB
+    std::optional<PendingValidation> pending;
+    double last_action_time;     ///< prevention or reclaim; -inf for none
+    double last_migration_time;  ///< -inf for none
+  };
+
   enum class MetricKind { kCpu, kMemory, kOther };
   static MetricKind kind_of(Attribute a);
 
-  /// Executes one action for `vm` keyed on attribute `a`; returns false
+  /// Executes one action for `m` keyed on attribute `a`; returns false
   /// if no action could be applied. `phase` tags the attempt for the
   /// flight recorder (0 initial ranked walk, 2 validation fallback).
-  bool apply_action(Vm* vm, Attribute a, double now, int phase = 0);
-  bool try_scale(Vm* vm, MetricKind kind, double now);
-  bool try_migrate(Vm* vm, MetricKind kind, double now);
+  bool apply_action(ManagedVm& m, Attribute a, double now, int phase = 0);
+  bool try_scale(Vm* vm, MetricKind kind);
+  bool try_migrate(ManagedVm& m, double now);
   /// Side-effect-free feasibility probes, mirroring try_scale /
   /// try_migrate. Used only to fill recorder evidence fields the live
   /// mode did not consult (what-if replay needs both flags; the flags
   /// the mode *did* consult come from the actual attempt outcomes).
   bool probe_can_scale(const Vm& vm, MetricKind kind) const;
-  bool probe_can_migrate(const Vm& vm, double now) const;
+  bool probe_can_migrate(const ManagedVm& m, double now) const;
   /// Records one prevention attempt into the flight recorder (no-op
   /// when detached). Consulted outcomes are authoritative; unconsulted
   /// flags fall back to the probes.
-  void record_attempt(const Vm& vm, Attribute a, MetricKind kind,
+  void record_attempt(const ManagedVm& m, Attribute a, MetricKind kind,
                       double now, int phase, bool scale_known,
                       bool scale_ok, bool migrate_known, bool migrate_ok,
                       int applied);
   double lookback_mean(const std::string& vm, Attribute a, double now) const;
-  void maybe_reclaim(double now, const std::set<std::string>& unhealthy);
+  void maybe_reclaim(double now, const std::vector<bool>& unhealthy);
 
   Hypervisor* hypervisor_;
   Cluster* cluster_;
@@ -160,11 +169,7 @@ class PreventionActuator {
   obs::SpanTracer* tracer_;        ///< not owned; may be null
   obs::FlightRecorder* recorder_;  ///< not owned; may be null
 
-  std::map<std::string, PendingValidation> pending_;
-  /// Baseline allocations (cpu cores, mem MB) snapshotted at construction.
-  std::map<std::string, std::pair<double, double>> baseline_;
-  std::map<std::string, double> last_action_time_;
-  std::map<std::string, double> last_migration_time_;
+  std::vector<ManagedVm> vms_;
   std::size_t actions_fired_ = 0;
   std::size_t validations_failed_ = 0;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -70,17 +69,17 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
   for (std::size_t a = 0; a < kAttributeCount; ++a)
     features.push_back(attribute_name(static_cast<Attribute>(a)));
 
-  // Train one model per VM on the labeled prefix.
-  std::map<std::string, AnomalyPredictor> predictors;
-  std::map<std::string, AlarmFilter> filters;
+  // Train one model per VM on the labeled prefix (parallel to vm_names).
+  std::vector<AnomalyPredictor> predictors;
+  std::vector<AlarmFilter> filters;
   for (const auto& vm : vm_names) {
-    AnomalyPredictor predictor(features, config.predictor);
+    AnomalyPredictor& predictor =
+        predictors.emplace_back(features, config.predictor);
     const LabeledSamples samples =
         Labeler::label(store, slo, vm, 0.0, config.train_end);
     PREPARE_CHECK_MSG(samples.size() > 0, "no training samples for " + vm);
     predictor.train(samples.columns, samples.abnormal);
-    predictors.emplace(vm, std::move(predictor));
-    filters.emplace(vm, AlarmFilter(config.filter_k, config.filter_w));
+    filters.emplace_back(config.filter_k, config.filter_w);
   }
 
   // Replay.
@@ -95,8 +94,9 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
       config.tracer->observe_slo(t, slo.violated_at(t));
       config.tracer->tick(t);
     }
-    for (const auto& vm : vm_names) {
-      auto& predictor = predictors.at(vm);
+    for (std::size_t v = 0; v < vm_names.size(); ++v) {
+      const std::string& vm = vm_names[v];
+      AnomalyPredictor& predictor = predictors[v];
       predictor.observe(store.sample(vm, i));
       if (!predictor.ready() || !predictor.discriminative()) continue;
       const auto result = predictor.predict(TickIndex{steps});
@@ -105,7 +105,7 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
         top = std::max(top, impact);
       const bool raw = result.classification.abnormal &&
                        top >= config.alert_min_top_impact;
-      const bool confirmed = filters.at(vm).push(raw);
+      const bool confirmed = filters[v].push(raw);
       if (!raw && !confirmed) continue;
       ReplayAlert alert;
       alert.time = t;

@@ -52,18 +52,6 @@ char* write_number(char* first, char* last, double value) {
 
 }  // namespace
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  escape(s, [&out](std::string_view bytes) { out.append(bytes); });
-  return out;
-}
-
-std::string json_number(double value) {
-  char buf[32];
-  return std::string(buf, write_number(buf, buf + sizeof buf, value));
-}
-
 void JsonObject::flush() {
   os_.write(line_, static_cast<std::streamsize>(len_));
   len_ = 0;

@@ -2,35 +2,27 @@
 //
 // The trace exporter emits JSONL: one flat JSON object per line, keys
 // and scalar values only (the schema tools/check_obs_schema.py
-// validates). This header provides exactly that much JSON — an escaper
-// and a single-object line writer — instead of pulling in a JSON
-// library the container may not have.
+// validates). This header provides exactly that much JSON — a
+// single-object line writer — instead of pulling in a JSON library the
+// container may not have.
 //
 // A JsonObject builds its line in a fixed buffer of its own and hands
 // it to the stream in one write. Keys and strings are escaped a clean
-// run at a time; numbers are written into the buffer by std::to_chars,
-// so a double prints exactly as printf's "%.17g" in the C locale,
-// whatever the process locale is.
+// run at a time (quotes, backslashes, control characters; UTF-8 passes
+// through); numbers are written into the buffer by std::to_chars, so a
+// double prints exactly as printf's "%.17g" in the C locale, whatever
+// the process locale is, and round-trips. JSON has no NaN/Inf literals,
+// so a non-finite double is written as null (the schema checker treats
+// null as "unavailable").
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
-#include <string>
 #include <string_view>
 
 namespace prepare {
 namespace obs {
-
-/// Escapes a string for use inside a JSON string literal (quotes,
-/// backslashes, control characters; UTF-8 passes through untouched).
-std::string json_escape(std::string_view s);
-
-/// Formats a double as a JSON number: 17 significant digits, the text
-/// of "%.17g", so every double round-trips. JSON has no NaN/Inf
-/// literals, so non-finite values are emitted as null (the schema
-/// checker treats null as "unavailable").
-std::string json_number(double value);
 
 /// Writes one flat JSON object as a single line. Fields are emitted in
 /// call order; the line, closed by `}\n`, reaches the stream in one

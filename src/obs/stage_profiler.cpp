@@ -30,18 +30,6 @@ std::string stage_metric_name(const std::string& stage) {
   return kStagePrefix + stage + kStageSuffix;
 }
 
-Histogram* StageProfiler::stage(const std::string& name) {
-  if (registry_ == nullptr) return nullptr;
-  MutexLock lock(&mu_);
-  for (const auto& [known, histogram] : stages_)
-    if (known == name) return histogram;
-  // Lock order: profiler mutex, then the registry's (inside
-  // histogram()). Nothing locks in the other direction.
-  Histogram* histogram = registry_->histogram(stage_metric_name(name));
-  stages_.emplace_back(name, histogram);
-  return histogram;
-}
-
 void write_stage_report(const MetricsRegistry& registry, std::ostream& os) {
   char line[160];
   std::snprintf(line, sizeof(line), "%-18s %8s %10s %10s %10s %10s %10s\n",

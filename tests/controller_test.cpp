@@ -4,13 +4,20 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/webapp/web_app.h"
 #include "core/experiment.h"
+#include "faults/injector.h"
+#include "monitor/vm_monitor.h"
 #include "obs/span_tracer.h"
+#include "sim/clock.h"
+#include "workload/nasa_trace.h"
 
 namespace prepare {
 namespace {
@@ -148,10 +155,8 @@ void fnv1a(std::uint64_t* h, const void* data, std::size_t n) {
   }
 }
 
-/// Digest of one run's decision stream: every EventLog record (time
-/// bits, kind, subject, detail) followed by the span JSONL.
-std::uint64_t decision_stream_digest(const EventLog& events,
-                                     const obs::SpanTracer& tracer) {
+/// Digest of every EventLog record (time bits, kind, subject, detail).
+std::uint64_t event_log_digest(const EventLog& events) {
   std::uint64_t h = 14695981039346656037ULL;
   for (const Event& e : events.events()) {
     std::uint64_t bits = 0;
@@ -162,6 +167,14 @@ std::uint64_t decision_stream_digest(const EventLog& events,
     fnv1a(&h, e.subject.data(), e.subject.size() + 1);
     fnv1a(&h, e.detail.data(), e.detail.size() + 1);
   }
+  return h;
+}
+
+/// Digest of one run's decision stream: the EventLog digest, folded on
+/// over the span JSONL.
+std::uint64_t decision_stream_digest(const EventLog& events,
+                                     const obs::SpanTracer& tracer) {
+  std::uint64_t h = event_log_digest(events);
   std::ostringstream spans;
   tracer.write_spans_jsonl(spans, "pin");
   const std::string text = spans.str();
@@ -211,6 +224,92 @@ TEST(Controllers, DecisionStreamsArePinned) {
       }
     }
   }
+}
+
+// Two RUBiS apps share one cluster and one EventLog, each with its own
+// PrepareController in the default prevention mode, wired the way
+// bench/ext_scale.cpp wires them: leaks staggered into both databases,
+// two VMs per host and one spare host. Each controller may act on its
+// own app's VMs only, so the joint decision stream is pinned.
+TEST(Controllers, SharedClusterDecisionStreamIsPinned) {
+  struct App {
+    std::vector<Vm*> vms;
+    std::unique_ptr<NasaTraceWorkload> workload;
+    std::unique_ptr<WebApp> app;
+    FaultInjector injector;
+    MetricStore store;
+    SloLog slo;
+    std::unique_ptr<PrepareController> controller;
+  };
+  SimClock clock;
+  Cluster cluster;
+  EventLog events;
+  Hypervisor hypervisor(&clock, &cluster, &events);
+  VmMonitor monitor(VmMonitorConfig{}, 77);
+  const HostCapacity capacity{4.0, 8192.0, 0.2, 512.0};
+  std::vector<std::unique_ptr<App>> apps;
+  Host* host = nullptr;
+  for (std::size_t a = 0; a < 2; ++a) {
+    auto app = std::make_unique<App>();
+    const char* roles[] = {"web", "app1", "app2", "db"};
+    for (int r = 0; r < 4; ++r) {
+      if (r % 2 == 0)
+        host = cluster.add_host(
+            "host" + std::to_string(cluster.hosts().size() + 1), capacity);
+      app->vms.push_back(cluster.add_vm(
+          "a" + std::to_string(a) + "-" + roles[r], 1.0,
+          r == 3 ? 1024.0 : 768.0, host));
+    }
+    NasaTraceConfig trace;
+    trace.base_rate = 60.0;
+    app->workload = std::make_unique<NasaTraceWorkload>(trace, 100 + a);
+    app->app = std::make_unique<WebApp>(app->vms, app->workload.get());
+    const double offset = static_cast<double>(a) * 20.0;
+    app->injector.add(std::make_unique<MemoryLeakFault>(
+        app->vms[3], 300.0 + offset, 300.0, 2.5));
+    app->injector.add(std::make_unique<MemoryLeakFault>(
+        app->vms[3], 900.0 + offset, 300.0, 2.5));
+    const ControllerContext ctx{app->app.get(), &cluster, &hypervisor,
+                                &app->store,    &app->slo, &events};
+    app->controller = std::make_unique<PrepareController>(ctx);
+    apps.push_back(std::move(app));
+  }
+  cluster.add_host("spare1", capacity);
+
+  for (std::size_t tick = 0; clock.now() < 1350.0; ++tick) {
+    const double now = clock.now();
+    for (auto& app : apps) {
+      for (Vm* vm : app->vms) vm->begin_tick();
+      app->injector.apply(now, 1.0);
+      app->app->step(now, 1.0);
+      app->slo.record(now, 1.0, app->app->slo_violated(),
+                      app->app->slo_metric());
+    }
+    if (tick % 5 == 0) {
+      for (auto& app : apps) {
+        for (Vm* vm : app->vms)
+          app->store.record(vm->name(), now, monitor.sample(*vm));
+        if (!app->controller->trained() && now >= 700.0)
+          app->controller->train(0.0, now);
+        app->controller->on_sample(now);
+      }
+    }
+    clock.advance(Seconds{1.0});
+  }
+
+  // Both apps act, and both keep their SLO after training.
+  std::size_t acted[2] = {0, 0};
+  for (const Event& e : events.events())
+    if (e.kind == EventKind::kPrevention) ++acted[e.subject[1] - '0'];
+  EXPECT_GT(acted[0], 0u);
+  EXPECT_GT(acted[1], 0u);
+  for (const auto& app : apps)
+    EXPECT_EQ(app->slo.violation_time(850.0, 1350.0), 0.0);
+  const std::uint64_t digest = event_log_digest(events);
+  std::ostringstream hex;
+  hex << std::hex << "0x" << digest;
+  SCOPED_TRACE("shared cluster -> " + hex.str());
+  EXPECT_EQ(digest, 0xc049e194d2291b71ULL);
 }
 
 TEST(Controllers, ContextValidationThrowsOnNulls) {

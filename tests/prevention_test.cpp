@@ -17,7 +17,8 @@ class PreventionTest : public ::testing::Test {
     vm_ = cluster_.add_vm("vm", 1.0, 512.0, host_);
     hypervisor_ = std::make_unique<Hypervisor>(&clock_, &cluster_, &log_);
     actuator_ = std::make_unique<PreventionActuator>(
-        hypervisor_.get(), &cluster_, &store_, &log_, config);
+        hypervisor_.get(), &cluster_, &store_, &log_, std::vector<Vm*>{vm_},
+        config);
   }
 
   /// Appends a monitoring sample so validation windows have data.
@@ -29,7 +30,7 @@ class PreventionTest : public ::testing::Test {
 
   Diagnosis::FaultyVm faulty(std::vector<Attribute> ranked) {
     Diagnosis::FaultyVm f;
-    f.vm = "vm";
+    f.vm = 0;
     f.score = 2.0;
     f.ranked = std::move(ranked);
     return f;
@@ -100,7 +101,7 @@ TEST_F(ScalingPreventionTest, NoActionableMetricNoAction) {
 TEST_F(ScalingPreventionTest, ValidationOpenBlocksReactuation) {
   record(0.0, 10.0);
   EXPECT_TRUE(actuator_->actuate(faulty({Attribute::kFreeMem}), 0.0));
-  EXPECT_TRUE(actuator_->validation_open("vm"));
+  EXPECT_TRUE(actuator_->validation_open(0));
   EXPECT_FALSE(actuator_->actuate(faulty({Attribute::kFreeMem}), 5.0));
 }
 
@@ -109,8 +110,8 @@ TEST_F(ScalingPreventionTest, ValidationClearsWhenHealthy) {
   actuator_->actuate(faulty({Attribute::kFreeMem}), 0.0);
   record(5.0, 10.0);
   record(25.0, 10.0);
-  actuator_->on_sample(25.0, {});  // VM healthy -> validation success
-  EXPECT_FALSE(actuator_->validation_open("vm"));
+  actuator_->on_sample(25.0, {false});  // VM healthy -> validation success
+  EXPECT_FALSE(actuator_->validation_open(0));
   EXPECT_EQ(actuator_->validations_failed(), 0u);
 }
 
@@ -127,7 +128,7 @@ TEST_F(ScalingPreventionTest, FailedValidationTriesNextMetric) {
   // through disk_read (not actionable) to cpu_util.
   record(10.0, 10.0);
   record(21.0, 10.0);
-  actuator_->on_sample(21.0, {"vm"});
+  actuator_->on_sample(21.0, {true});
   clock_.advance(Seconds{1.0});
   EXPECT_GT(actuator_->validations_failed(), 0u);
   EXPECT_GT(vm_->cpu_alloc(), 1.0);
@@ -138,8 +139,8 @@ TEST_F(ScalingPreventionTest, ExhaustedRankingClosesValidation) {
   actuator_->actuate(faulty({Attribute::kFreeMem}), 0.0);
   record(10.0, 10.0);
   record(21.0, 10.0);
-  actuator_->on_sample(21.0, {"vm"});
-  EXPECT_FALSE(actuator_->validation_open("vm"));
+  actuator_->on_sample(21.0, {true});
+  EXPECT_FALSE(actuator_->validation_open(0));
   // A later alert may retry from the top (the leak kept growing).
   EXPECT_TRUE(actuator_->actuate(faulty({Attribute::kFreeMem}), 30.0));
 }
@@ -182,7 +183,7 @@ TEST_F(MigrationPreventionTest, CooldownFallsBackToScaling) {
   // Close the open validation as healthy, then trigger again within the
   // migration cooldown: the actuator should scale on the current host.
   record(25.0, 10.0);
-  actuator_->on_sample(25.0, {});
+  actuator_->on_sample(25.0, {false});
   const double mem_before = vm_->mem_alloc();
   EXPECT_TRUE(actuator_->actuate(faulty({Attribute::kFreeMem}), 40.0));
   clock_.advance(Seconds{1.0});
@@ -218,14 +219,14 @@ TEST_F(ReclaimTest, IdleOverProvisionedVmShrinksTowardBaseline) {
   vm_->set_mem_alloc(1024.0);
   // Sustained low utilization samples.
   for (double t = 0.0; t <= 60.0; t += 5.0) record(t, 10.0);
-  actuator_->on_sample(60.0, {});
+  actuator_->on_sample(60.0, {false});
   clock_.advance(Seconds{1.0});
   EXPECT_LT(vm_->cpu_alloc(), 1.8);
   EXPECT_LT(vm_->mem_alloc(), 1024.0);
   // Repeated reclaim converges to the baseline, never below.
   for (double t = 65.0; t <= 600.0; t += 5.0) {
     record(t, 10.0);
-    actuator_->on_sample(t, {});
+    actuator_->on_sample(t, {false});
     clock_.advance(Seconds{5.0});
   }
   EXPECT_DOUBLE_EQ(vm_->cpu_alloc(), 1.0);
@@ -235,7 +236,7 @@ TEST_F(ReclaimTest, IdleOverProvisionedVmShrinksTowardBaseline) {
 TEST_F(ReclaimTest, BusyVmNotReclaimed) {
   vm_->set_cpu_alloc(1.8);
   for (double t = 0.0; t <= 60.0; t += 5.0) record(t, 90.0);  // hot
-  actuator_->on_sample(60.0, {});
+  actuator_->on_sample(60.0, {false});
   clock_.advance(Seconds{1.0});
   EXPECT_DOUBLE_EQ(vm_->cpu_alloc(), 1.8);
 }
@@ -243,14 +244,14 @@ TEST_F(ReclaimTest, BusyVmNotReclaimed) {
 TEST_F(ReclaimTest, UnhealthyVmNotReclaimed) {
   vm_->set_cpu_alloc(1.8);
   for (double t = 0.0; t <= 60.0; t += 5.0) record(t, 10.0);
-  actuator_->on_sample(60.0, {"vm"});
+  actuator_->on_sample(60.0, {true});
   clock_.advance(Seconds{1.0});
   EXPECT_DOUBLE_EQ(vm_->cpu_alloc(), 1.8);
 }
 
 TEST_F(ReclaimTest, BaselineVmUntouched) {
   for (double t = 0.0; t <= 60.0; t += 5.0) record(t, 10.0);
-  actuator_->on_sample(60.0, {});
+  actuator_->on_sample(60.0, {false});
   clock_.advance(Seconds{1.0});
   EXPECT_DOUBLE_EQ(vm_->cpu_alloc(), 1.0);
   EXPECT_DOUBLE_EQ(vm_->mem_alloc(), 512.0);

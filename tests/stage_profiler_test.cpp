@@ -10,19 +10,14 @@ namespace obs {
 namespace {
 
 TEST(StageProfiler, DisabledWithNullRegistry) {
-  StageProfiler profiler(nullptr);
-  EXPECT_FALSE(profiler.enabled());
-  EXPECT_EQ(profiler.stage(kStageDiscretize), nullptr);
-  EXPECT_TRUE(profiler.stages().empty());
-  // Timing through the disabled profiler is a no-op, not a crash.
-  { ScopedTimer timer = profiler.scoped(kStageDiscretize); }
+  EXPECT_EQ(stage_histogram(nullptr, kStageDiscretize), nullptr);
+  // Timing without a registry is a no-op, not a crash.
+  { ScopedTimer timer(stage_histogram(nullptr, kStageDiscretize)); }
 }
 
 TEST(StageProfiler, StageRegistersHistogramUnderCanonicalName) {
   MetricsRegistry registry;
-  StageProfiler profiler(&registry);
-  EXPECT_TRUE(profiler.enabled());
-  Histogram* stage = profiler.stage(kStageTanClassify);
+  Histogram* stage = stage_histogram(&registry, kStageTanClassify);
   ASSERT_NE(stage, nullptr);
   EXPECT_EQ(stage,
             registry.histogram(stage_metric_name(kStageTanClassify)));
@@ -31,12 +26,12 @@ TEST(StageProfiler, StageRegistersHistogramUnderCanonicalName) {
 
 TEST(StageProfiler, RepeatedStageLookupReturnsSameHistogram) {
   MetricsRegistry registry;
-  StageProfiler profiler(&registry);
-  Histogram* a = profiler.stage(kStagePrevention);
-  Histogram* b = profiler.stage(kStagePrevention);
+  Histogram* a = stage_histogram(&registry, kStagePrevention);
+  Histogram* b = stage_histogram(&registry, kStagePrevention);
   EXPECT_EQ(a, b);
-  ASSERT_EQ(profiler.stages().size(), 1u);
-  EXPECT_EQ(profiler.stages()[0].first, kStagePrevention);
+  ASSERT_EQ(registry.histograms().size(), 1u);
+  EXPECT_EQ(registry.histograms().begin()->first,
+            stage_metric_name(kStagePrevention));
 }
 
 TEST(ScopedTimer, RecordsOneSamplePerScope) {
@@ -88,9 +83,8 @@ TEST(StageProfiler, PipelineStageListIsCanonical) {
 
 TEST(StageReport, ListsEveryTimedStage) {
   MetricsRegistry registry;
-  StageProfiler profiler(&registry);
   for (const char* stage : kPipelineStages) {
-    ScopedTimer timer = profiler.scoped(stage);
+    ScopedTimer timer(stage_histogram(&registry, stage));
   }
   std::ostringstream os;
   write_stage_report(registry, os);

@@ -38,26 +38,48 @@ std::vector<std::string> lines_of(const std::string& text) {
 
 // --- JSON primitives --------------------------------------------------------
 
+/// The text JsonObject writes for `value`: the line `{"k":<text>}\n` of
+/// a one-field object, its frame checked and stripped.
+template <typename T>
+std::string value_text(T value) {
+  std::ostringstream os;
+  JsonObject(os).field("k", value);
+  const std::string line = os.str();
+  if (line.size() < 7 || line.compare(0, 5, "{\"k\":") != 0 ||
+      line.compare(line.size() - 2, 2, "}\n") != 0) {
+    ADD_FAILURE() << "unexpected frame: " << line;
+    return "";
+  }
+  return line.substr(5, line.size() - 7);
+}
+
+/// A string's escaped text, between the quotes JsonObject writes.
+std::string escaped(std::string_view s) {
+  const std::string quoted = value_text(s);
+  if (quoted.size() < 2 || quoted.front() != '"' || quoted.back() != '"') {
+    ADD_FAILURE() << "unquoted string: " << quoted;
+    return "";
+  }
+  return quoted.substr(1, quoted.size() - 2);
+}
+
 TEST(Json, EscapesQuotesBackslashesAndControlChars) {
-  EXPECT_EQ(obs::json_escape("plain"), "plain");
-  EXPECT_EQ(obs::json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(obs::json_escape(std::string("a\x01""b")), "a\\u0001b");
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(escaped("a\nb"), "a\\nb");
+  EXPECT_EQ(escaped(std::string("a\x01""b")), "a\\u0001b");
 }
 
 TEST(Json, NumbersRoundTripAndNonFiniteBecomesNull) {
-  EXPECT_EQ(std::stod(obs::json_number(12.5)), 12.5);
-  EXPECT_EQ(std::stod(obs::json_number(1e-9)), 1e-9);
-  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::infinity()),
-            "null");
-  EXPECT_EQ(obs::json_number(-std::numeric_limits<double>::infinity()),
-            "null");
-  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::quiet_NaN()),
-            "null");
+  EXPECT_EQ(std::stod(value_text(12.5)), 12.5);
+  EXPECT_EQ(std::stod(value_text(1e-9)), 1e-9);
+  EXPECT_EQ(value_text(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(value_text(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(value_text(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
-/// The formatting json_number must reproduce: "%.17g" in the C locale.
+/// The formatting numbers must reproduce: "%.17g" in the C locale.
 std::string printf_precision17(double value) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", value);
@@ -70,7 +92,7 @@ TEST(Json, NumberMatchesPrintfPrecision17) {
   const auto check = [&mismatches](double v) {
     const std::string want =
         std::isfinite(v) ? printf_precision17(v) : "null";
-    const std::string got = obs::json_number(v);
+    const std::string got = value_text(v);
     if (got == want) return;
     if (++mismatches <= 10)
       ADD_FAILURE() << "bits 0x" << std::hex
@@ -117,8 +139,8 @@ TEST(Json, NumberMatchesPrintfPrecision17) {
   EXPECT_EQ(mismatches, 0);
 }
 
-/// json_escape as it was first written (snprintf for control bytes):
-/// the reference the clean-run escaper must match byte for byte.
+/// The JSON escaper as it was first written (snprintf for control
+/// bytes): the reference the clean-run escaper must match byte for byte.
 std::string reference_escape(const std::string& s) {
   std::string out;
   for (const char c : s) {
@@ -147,7 +169,7 @@ std::string reference_escape(const std::string& s) {
 TEST(Json, EscapeMatchesReference) {
   for (int b = 0; b < 256; ++b) {
     const std::string one(1, static_cast<char>(b));
-    EXPECT_EQ(obs::json_escape(one), reference_escape(one)) << "byte " << b;
+    EXPECT_EQ(escaped(one), reference_escape(one)) << "byte " << b;
   }
   std::string mixed = "vm-pe3 \"quoted\" back\\slash\ttab\nline";
   for (int b = 0; b < 256; ++b) {
@@ -155,7 +177,7 @@ TEST(Json, EscapeMatchesReference) {
     mixed += "run";
   }
   mixed += "\xc3\xa9 trailing clean run";
-  EXPECT_EQ(obs::json_escape(mixed), reference_escape(mixed));
+  EXPECT_EQ(escaped(mixed), reference_escape(mixed));
 }
 
 // The writer's line buffer holds 4 KB: a longer line reaches the stream
@@ -163,7 +185,7 @@ TEST(Json, EscapeMatchesReference) {
 TEST(Json, LineLongerThanTheBufferKeepsItsBytes) {
   std::string text(5000, 'x');  // one clean run longer than the buffer
   for (int i = 0; i < 3000; ++i) text += i % 7 == 0 ? "\"q\"\n" : "abc";
-  std::string want = "{\"text\":\"" + obs::json_escape(text) + "\"";
+  std::string want = "{\"text\":\"" + reference_escape(text) + "\"";
   std::ostringstream os;
   {
     JsonObject record(os);
@@ -172,7 +194,7 @@ TEST(Json, LineLongerThanTheBufferKeepsItsBytes) {
       const std::string key = "k" + std::to_string(i);
       const double value = 1.0 / (i + 3);
       record.field(key, value).field(key + "n", i);
-      want += ",\"" + key + "\":" + obs::json_number(value) + ",\"" + key +
+      want += ",\"" + key + "\":" + printf_precision17(value) + ",\"" + key +
               "n\":" + std::to_string(i);
     }
   }

@@ -23,8 +23,8 @@ Rule catalog (v2):
   mutex-type       Only prepare::Mutex / prepare::MutexLock may lock.
   thread-confined  [interprocedural] No method of a type annotated
                    PREPARE_DRIVER_CONFINED (common/analyze_annotations.h)
-                   — SpanTracer, ModelIntrospect, EventLog, Application,
-                   StageProfiler::stages() — may be reachable from a
+                   — SpanTracer, ModelIntrospect, EventLog, Application
+                   — may be reachable from a
                    lambda handed to ThreadPool::parallel_for. Virtual
                    calls dispatch to every override; local objects
                    charge their destructors.
