@@ -201,15 +201,16 @@ void AnomalyPredictor::predict_into(TickIndex steps, bool with_horizon,
   PREPARE_CHECK_MSG(ready(), "predict() before the model is ready");
   PREPARE_CHECK(steps.value() >= 1);
   PREPARE_CHECK(out != nullptr);
-  // With an introspector attached, the look-ahead also writes the whole
-  // horizon path; its final step is bit-identical to the plain output,
-  // so the classification (and thus every alert) is unchanged.
+  // With an introspector attached, the look-ahead also writes the mode
+  // row of every horizon step; the final distributions are the same
+  // either way, so the classification (and thus every alert) is
+  // unchanged.
   const bool horizon = introspect_ != nullptr && with_horizon;
   // Scratch vectors are pre-sized by train() (feature count is fixed).
   auto& dists = scratch_dists_;
   {
     obs::ScopedTimer timer(stage_lookahead_);
-    bank_->predict_into(steps, &dists, horizon ? &scratch_path_ : nullptr);
+    bank_->predict_into(steps, &dists, horizon ? &scratch_modes_ : nullptr);
   }
 
   obs::ScopedTimer classify_timer(stage_classify_);
@@ -230,8 +231,8 @@ void AnomalyPredictor::predict_into(TickIndex steps, bool with_horizon,
     // prepare-analyze: allow(hot-alloc): capacity-steady — horizon fixed
     out->horizon_probs.resize(k);
     for (std::size_t s = 0; s < k; ++s) {
-      for (std::size_t i = 0; i < nf; ++i)
-        row[i] = scratch_path_[s * nf + i].mode();
+      std::copy_n(scratch_modes_.begin() + static_cast<std::ptrdiff_t>(s * nf),
+                  nf, row.begin());
       const double score = classifier_->score(row).value();
       const double p = 1.0 / (1.0 + std::exp(-score));
       PREPARE_DCHECK(std::isfinite(p) && p >= 0.0 && p <= 1.0)

@@ -247,10 +247,10 @@ class AnomalyPredictor {
   /// Final-step distribution per feature.
   mutable std::vector<Distribution> scratch_dists_;
   mutable std::vector<std::size_t> scratch_row_;
-  /// Step-major horizon path (scratch_path_[s * nf + i] is feature i's
-  /// distribution at step s + 1); only filled when an introspector is
-  /// attached.
-  mutable std::vector<Distribution> scratch_path_;
+  /// Step-major horizon mode rows (scratch_modes_[s * nf + i] is the
+  /// mode of feature i's distribution at step s + 1); only filled on
+  /// calibration rounds with an introspector attached.
+  mutable std::vector<std::size_t> scratch_modes_;
 };
 
 }  // namespace prepare

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -61,12 +62,78 @@ __attribute__((always_inline)) inline void gather_step(
   }
 }
 
+/// The marginal of markov_kernel.h: the sums of each symbol go to p and
+/// into the totals, then one pass divides them and keeps the argmax. A
+/// non-finite sum leaves its lane's total non-finite, so checking the
+/// totals and the lowest sums covers every sum. The conditionals are
+/// min/max/blend patterns, which AVX-512F compiles without a mask
+/// vector.
+template <typename Vec>
+__attribute__((always_inline)) inline bool sum_and_divide(
+    const LaneRow* v, std::size_t width, std::size_t stride,
+    std::size_t lanes, LaneRow* p, LaneRow* mode) {
+  constexpr std::size_t kPerRow = sizeof(LaneRow) / sizeof(Vec);
+  Vec total[kPerRow] = {}, lowest[kPerRow] = {};
+  for (std::size_t c = 0; c < width; ++c) {
+    Vec sum[kPerRow] = {};
+    for (std::size_t pre = 0; pre < stride; ++pre) {
+      const Vec* m = reinterpret_cast<const Vec*>(v[pre * width + c].lane);
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kPerRow; ++r) sum[r] += m[r];
+    }
+    Vec* out = reinterpret_cast<Vec*>(p[c].lane);
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < kPerRow; ++r) {
+      out[r] = sum[r];
+      total[r] += sum[r];
+      lowest[r] = sum[r] < lowest[r] ? sum[r] : lowest[r];
+    }
+  }
+  LaneRow totals{}, lows{};
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < kPerRow; ++r) {
+    reinterpret_cast<Vec*>(totals.lane)[r] = total[r];
+    reinterpret_cast<Vec*>(lows.lane)[r] = lowest[r];
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const double t = totals.lane[l];
+    const bool used = l < lanes;
+    if (!(lows.lane[l] >= 0.0 && t <= std::numeric_limits<double>::max() &&
+          (t > 0.0 || !used)))
+      return false;
+  }
+  // No quotient is negative, so the argmax may start at +0.0 on symbol
+  // 0; a strict > keeps the lowest symbol of a tie, as
+  // Distribution::mode() does.
+  Vec best[kPerRow] = {}, arg[kPerRow] = {};
+  for (std::size_t c = 0; c < width; ++c) {
+    const Vec symbol = Vec{} + static_cast<double>(c);
+    Vec* q = reinterpret_cast<Vec*>(p[c].lane);
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < kPerRow; ++r) {
+      q[r] /= total[r];
+      const Vec prev = best[r];
+      best[r] = q[r] > prev ? q[r] : prev;
+      arg[r] = q[r] > prev ? symbol : arg[r];
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < kPerRow; ++r)
+    reinterpret_cast<Vec*>(mode->lane)[r] = arg[r];
+  return true;
+}
+
 // Chunks fill the registers: 8 accumulators of 16 SSE2/NEON registers,
 // 12 of 16 AVX2 ones, 10 of 32 AVX-512 ones; 5 covers the default
 // 5-bin alphabet in one pass.
 void step16(const LaneRow* v, const LaneRow* probs, std::size_t width,
             std::size_t stride, LaneRow* next) {
   gather_step<Vec16, 1>(v, probs, width, stride, next);
+}
+
+bool marginal16(const LaneRow* v, std::size_t width, std::size_t stride,
+                std::size_t lanes, LaneRow* p, LaneRow* mode) {
+  return sum_and_divide<Vec16>(v, width, stride, lanes, p, mode);
 }
 
 #if defined(__x86_64__)
@@ -76,10 +143,22 @@ __attribute__((target("avx2"))) void step32(
   gather_step<Vec32, 3>(v, probs, width, stride, next);
 }
 
+__attribute__((target("avx2"))) bool marginal32(
+    const LaneRow* v, std::size_t width, std::size_t stride,
+    std::size_t lanes, LaneRow* p, LaneRow* mode) {
+  return sum_and_divide<Vec32>(v, width, stride, lanes, p, mode);
+}
+
 __attribute__((target("avx512f"))) void step64(
     const LaneRow* v, const LaneRow* probs, std::size_t width,
     std::size_t stride, LaneRow* next) {
   gather_step<Vec64, 5>(v, probs, width, stride, next);
+}
+
+__attribute__((target("avx512f"))) bool marginal64(
+    const LaneRow* v, std::size_t width, std::size_t stride,
+    std::size_t lanes, LaneRow* p, LaneRow* mode) {
+  return sum_and_divide<Vec64>(v, width, stride, lanes, p, mode);
 }
 #endif
 
@@ -117,6 +196,24 @@ void step(Kernel kernel, const LaneRow* v, const LaneRow* probs,
   }
 }
 
+bool marginal(Kernel kernel, const LaneRow* v, std::size_t width,
+              std::size_t stride, std::size_t lanes, LaneRow* p,
+              LaneRow* mode) {
+  switch (kernel) {
+    case Kernel::k16:
+      return marginal16(v, width, stride, lanes, p, mode);
+#if defined(__x86_64__)
+    case Kernel::k32:
+      return marginal32(v, width, stride, lanes, p, mode);
+    case Kernel::k64:
+      return marginal64(v, width, stride, lanes, p, mode);
+#endif
+    default:
+      PREPARE_CHECK_MSG(false, "kernel not built for this target");
+  }
+  return false;
+}
+
 }  // namespace markov_kernel
 
 MarkovBank::MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
@@ -146,8 +243,10 @@ MarkovBank::MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
   context_.assign(n, 0);
   scratch_v_.assign(states_, LaneRow{});
   scratch_next_.assign(states_, LaneRow{});
+  scratch_p_.assign(width_, LaneRow{});
   // Every row the kernels touch starts on a cache line.
-  for (const auto* rows : {&probs_, &scratch_v_, &scratch_next_}) {
+  for (const auto* rows :
+       {&probs_, &scratch_v_, &scratch_next_, &scratch_p_}) {
     const auto address = reinterpret_cast<std::uintptr_t>(rows->data());
     PREPARE_CHECK(address % alignof(LaneRow) == 0) << "row at " << address;
   }
@@ -232,6 +331,7 @@ void MarkovBank::train(const std::vector<std::vector<std::size_t>>& sequences) {
   // Counting first and rebuilding each row once leaves the same rows as
   // a rebuild after every count: a row depends only on its final counts.
   rebuild_rows();
+  row_entropy_.clear();
 }
 
 void MarkovBank::observe(const std::vector<std::size_t>& row, bool learn) {
@@ -274,7 +374,7 @@ std::vector<Distribution> MarkovBank::predict(TickIndex steps) const {
 
 void MarkovBank::predict_into(TickIndex steps,
                               std::vector<Distribution>* dists,
-                              std::vector<Distribution>* per_step) const {
+                              std::vector<std::size_t>* modes) const {
   PREPARE_CHECK_MSG(ready(), "predict() before enough observations");
   PREPARE_CHECK(steps.value() >= 1);
   PREPARE_CHECK(dists != nullptr);
@@ -282,9 +382,9 @@ void MarkovBank::predict_into(TickIndex steps,
   const std::size_t k = steps.value();
   // prepare-analyze: allow(hot-alloc): capacity-steady — attributes fixed
   dists->resize(n);
-  if (per_step != nullptr) {
+  if (modes != nullptr) {
     // prepare-analyze: allow(hot-alloc): capacity-steady — horizon fixed
-    per_step->resize(k * n);
+    modes->resize(k * n);
   }
   const std::size_t stride = states_ / width_;
   for (std::size_t g = 0; g < groups_; ++g) {
@@ -310,37 +410,46 @@ void MarkovBank::predict_into(TickIndex steps,
             << " context-state mass leaked after step " << s + 1;
       }
 #endif
-      if (per_step != nullptr)
-        marginalize(v, first, lanes, per_step->data() + s * n + first);
+      // Only the final step fills distributions; the earlier ones keep
+      // the modes alone, and only when asked for.
+      const bool last = s + 1 == k;
+      if (last || modes != nullptr)
+        marginalize(v, first, lanes, last, dists->data() + first,
+                    modes == nullptr ? nullptr : modes->data() + s * n + first);
     }
-    marginalize(v, first, lanes, dists->data() + first);
   }
 }
 
 void MarkovBank::marginalize(const LaneRow* v, std::size_t first,
-                             std::size_t lanes, Distribution* out) const {
-  for (std::size_t l = 0; l < lanes; ++l)
-    out[l].assign_zero(alphabets_[first + l]);
-  // Sum over the older symbols (x1..x{n-1}) ascending, per newest symbol.
-  const std::size_t prefixes = states_ / width_;
-  for (std::size_t c = 0; c < width_; ++c) {
-    double sum[kLanes] = {};
-    for (std::size_t pre = 0; pre < prefixes; ++pre)
-      for (std::size_t l = 0; l < kLanes; ++l)
-        sum[l] += v[pre * width_ + c].lane[l];
-    for (std::size_t l = 0; l < lanes; ++l)
-      if (c < alphabets_[first + l]) out[l][c] = sum[l];
-  }
+                             std::size_t lanes, bool fill, Distribution* out,
+                             std::size_t* modes) const {
+  const LaneRow* p = scratch_p_.data();
+  LaneRow mode{};
+  // Where the kernel declines (a negative, non-finite or all-zero
+  // marginal), p holds the sums, and Distribution::normalize() throws on
+  // the first two and turns the third uniform. `out` is then the storage
+  // even without `fill`.
+  const bool ok = markov_kernel::marginal(kernel_, v, width_, states_ / width_,
+                                          lanes, scratch_p_.data(), &mode);
   for (std::size_t l = 0; l < lanes; ++l) {
-    out[l].normalize();
-    PREPARE_DCHECK(out[l].is_normalized(1e-9))
-        << "attribute " << first + l << " prediction not a distribution";
+    if (fill || !ok) {
+      const std::size_t a = alphabets_[first + l];
+      out[l].assign_zero(a);
+      for (std::size_t c = 0; c < a; ++c) out[l][c] = p[c].lane[l];
+      if (!ok) out[l].normalize();
+      PREPARE_DCHECK(out[l].is_normalized(1e-9))
+          << "attribute " << first + l << " prediction not a distribution";
+    }
+    if (modes != nullptr)
+      modes[l] = ok ? static_cast<std::size_t>(mode.lane[l]) : out[l].mode();
   }
 }
 
 MarkovBank::RowStats MarkovBank::row_stats(std::size_t attribute) const {
   PREPARE_CHECK(attribute < alphabets_.size());
   const std::size_t a = alphabets_[attribute];
+  if (row_entropy_.empty())
+    row_entropy_.resize(alphabets_.size() * states_);
   RowStats stats;
   stats.rows = rows(attribute);
   for (std::size_t r = 0; r < stats.rows; ++r) {
@@ -351,14 +460,18 @@ MarkovBank::RowStats MarkovBank::row_stats(std::size_t attribute) const {
     stats.count_total += row_total;
     if (row_total <= 0.0) continue;
     ++stats.occupied_rows;
-    // Smoothed cells are strictly positive, so the log is finite.
-    double entropy = 0.0;
-    for (std::size_t j = 0; j < a; ++j) {
-      const double p = probability(attribute, context, j);
-      entropy -= p * std::log(p);
+    RowEntropy& cached = row_entropy_[attribute * states_ + context];
+    if (cached.total != row_total) {
+      // Smoothed cells are strictly positive, so the log is finite.
+      double entropy = 0.0;
+      for (std::size_t j = 0; j < a; ++j) {
+        const double p = probability(attribute, context, j);
+        entropy -= p * std::log(p);
+      }
+      cached = {row_total, entropy};
     }
-    stats.entropy_sum += entropy;
-    stats.entropy_max = std::max(stats.entropy_max, entropy);
+    stats.entropy_sum += cached.entropy;
+    stats.entropy_max = std::max(stats.entropy_max, cached.entropy);
   }
   return stats;
 }

@@ -16,7 +16,9 @@
 // lane-major, P[state][next][lane], each 128-byte row on a cache line,
 // so one step loads a source state's 16 lanes once and multiply-adds
 // them into several destination states held in registers, at the
-// widest vector width the CPU supports (markov_kernel.h). Every context
+// widest vector width the CPU supports (markov_kernel.h). The marginal
+// onto the newest symbol, and its mode, are read the same way, 16 lanes
+// at once; the per-step path keeps only the modes. Every context
 // index uses the widest alphabet of the bank as its radix; narrower
 // alphabets and the unused lanes of the last group are padded with
 // all-zero rows that no state ever reaches. See DESIGN.md §11 for why
@@ -69,14 +71,14 @@ class MarkovBank {
   void observe(const std::vector<std::size_t>& row, bool learn);
 
   /// Writes attribute i's value distribution `steps` (>= 1) intervals
-  /// ahead into (*dists)[i]. With a non-null `per_step`, also writes the
-  /// distribution at every step s + 1 = 1..steps into
-  /// (*per_step)[s * attributes() + i]; that element is bit-identical to
-  /// the (*dists)[i] of a call with steps = s + 1. Requires ready().
+  /// ahead into (*dists)[i]. With a non-null `modes`, also writes the
+  /// mode of that distribution at every step s + 1 = 1..steps into
+  /// (*modes)[s * attributes() + i]: the lowest symbol of the largest
+  /// probability, equal to predict(s + 1)[i].mode(). Requires ready().
   PREPARE_HOT void predict_into(TickIndex steps,
                                 std::vector<Distribution>* dists,
-                                std::vector<Distribution>* per_step) const;
-  /// predict_into() into a fresh vector, without the per-step path.
+                                std::vector<std::size_t>* modes) const;
+  /// predict_into() into a fresh vector, without the per-step modes.
   std::vector<Distribution> predict(TickIndex steps) const;
 
   /// Whether `order` rows have been seen, so every context is full.
@@ -91,7 +93,9 @@ class MarkovBank {
                          const std::vector<std::size_t>& context,
                          BinIndex next) const;
 
-  /// Row statistics of one attribute's transition table.
+  /// Row statistics of one attribute's transition table. A row's
+  /// entropy is computed again only when the row changed since the
+  /// previous call.
   RowStats row_stats(std::size_t attribute) const;
 
  private:
@@ -118,9 +122,12 @@ class MarkovBank {
   /// rebuild_row() for every attribute's every row.
   void rebuild_rows();
   /// Writes the lane group's marginal distributions of state vector `v`
-  /// to out[0..lanes).
+  /// to out[0..lanes) when `fill`, and their modes to modes[0..lanes)
+  /// when `modes` is non-null. Runs markov_kernel::marginal; where it
+  /// declines, Distribution::normalize() of the sums it left, which
+  /// uses `out` as storage even without `fill`.
   void marginalize(const LaneRow* v, std::size_t first, std::size_t lanes,
-                   Distribution* out) const;
+                   bool fill, Distribution* out, std::size_t* modes) const;
 
   std::size_t order_;
   std::vector<std::size_t> alphabets_;
@@ -138,8 +145,19 @@ class MarkovBank {
   /// The widest step kernel this CPU runs, picked at construction.
   markov_kernel::Kernel kernel_;
   /// Per-predict ping-pong state vectors of one lane group, [context],
-  /// sized in the constructor so the look-ahead allocates nothing.
-  mutable std::vector<LaneRow> scratch_v_, scratch_next_;
+  /// and the marginal of one, [symbol], sized in the constructor so the
+  /// look-ahead allocates nothing.
+  mutable std::vector<LaneRow> scratch_v_, scratch_next_, scratch_p_;
+  /// row_stats()'s entropy of each occupied row and the count total it
+  /// was computed at, [attribute][context]; empty until the first call
+  /// after construction or train(). observe() raises the total of every
+  /// row it counts into by exactly 1.0, so a row whose total matches is
+  /// unchanged.
+  struct RowEntropy {
+    double total = -1.0;
+    double entropy = 0.0;
+  };
+  mutable std::vector<RowEntropy> row_entropy_;
 };
 
 }  // namespace prepare

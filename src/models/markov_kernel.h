@@ -1,7 +1,8 @@
-// The look-ahead step of MarkovBank at each vector width the CPU may
-// offer, and the CPU query that picks one (DESIGN.md §11). Internal to
-// the bank: it lives in its own header so tests can run every kernel the
-// host supports against the 16-byte baseline.
+// The look-ahead step and the marginal readout of MarkovBank at each
+// vector width the CPU may offer, and the CPU query that picks one
+// (DESIGN.md §11). Internal to the bank: it lives in its own header so
+// tests can run every kernel the host supports against the 16-byte
+// baseline.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +41,23 @@ Kernel widest_supported();
 /// kernel evaluates exactly that expression, so all give the same bits.
 void step(Kernel kernel, const LaneRow* v, const LaneRow* probs,
           std::size_t width, std::size_t stride, LaneRow* next);
+
+/// The marginal of one lane group's state vector `v` onto the newest
+/// symbol, with `kernel`, which must be supported(). Per lane, each
+/// symbol c sums its states (x1..x{n-1}, c) = pre * width + c over the
+/// prefix ascending, and the total sums those in ascending c:
+///   sum_c = ((+0.0 + v[c]) + v[width + c]) + ...
+///   total = ((+0.0 + sum_0) + sum_1) + ...
+///   p[c]  = sum_c / total
+/// `mode` gets the lowest c with the largest p[c], as a double. Returns
+/// false when some sum is negative, some total is not finite (as any
+/// non-finite sum leaves it), or a lane below `lanes` has a total of
+/// zero; p then holds the undivided sums sum_c, and mode is unspecified,
+/// as it is for the lanes from `lanes` on. Every kernel evaluates
+/// exactly these expressions, so all give the same bits.
+bool marginal(Kernel kernel, const LaneRow* v, std::size_t width,
+              std::size_t stride, std::size_t lanes, LaneRow* p,
+              LaneRow* mode);
 
 }  // namespace markov_kernel
 }  // namespace prepare

@@ -27,6 +27,7 @@ void TanClassifier::train(const LabeledDataset& data) {
   learn_cpts(counts);
   trained_ = true;
   build_impact_tables();
+  summarize_cpts();
 }
 
 void TanClassifier::learn_structure(const PairCounts& counts) {
@@ -183,6 +184,10 @@ LogOdds TanClassifier::score(const std::vector<std::size_t>& row) const {
 
 Classifier::CptStats TanClassifier::cpt_stats() const {
   PREPARE_CHECK(trained_);
+  return cpt_stats_;
+}
+
+void TanClassifier::summarize_cpts() {
   CptStats stats;
   double support_sum = 0.0;
   std::size_t cells = 0;
@@ -217,7 +222,7 @@ Classifier::CptStats TanClassifier::cpt_stats() const {
     }
   }
   stats.log_odds_spread = hi - lo;
-  return stats;
+  cpt_stats_ = stats;
 }
 
 void TanClassifier::classify_expected_into(

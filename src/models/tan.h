@@ -67,6 +67,8 @@ class TanClassifier : public Classifier {
   void learn_structure(const PairCounts& counts);
   void learn_cpts(const PairCounts& counts);
   void build_impact_tables();
+  /// Fills cpt_stats_; the tables do not change between trainings.
+  void summarize_cpts();
   double log_impact(std::size_t attribute, std::size_t value,
                     std::size_t parent_value) const {
     return impact_table_[attribute]
@@ -96,6 +98,8 @@ class TanClassifier : public Classifier {
   /// every table cell — and thus every emitted score/impact — is finite.
   std::vector<std::vector<double>> impact_table_;
   double log_prior_odds_ = 0.0;
+  /// cpt_stats(), computed once per train().
+  CptStats cpt_stats_;
 };
 
 }  // namespace prepare

@@ -19,12 +19,11 @@
 //
 // Threading and determinism contract: identical to the SpanTracer. The
 // recorder is PREPARE_DRIVER_CONFINED — the controller feeds it from
-// the driver thread in deterministic (map) VM order, so every run of
+// the driver thread in deterministic VM-name order, so every run of
 // one seed produces byte-identical bundles. The steady-state entry
 // point record_tick() is PREPARE_HOT: after register_vm() pre-sizes the
-// ring (and episode_opened() pre-sizes the open capture), it only copies
-// into capacity-steady storage — the analyzer proves it allocation-,
-// lock- and IO-free.
+// ring and the open capture, it only copies into capacity-steady
+// storage — the analyzer proves it allocation-, lock- and IO-free.
 //
 // Memory accounting (defaults): ring_ticks=32 frames/VM, one frame ~
 // 13 raw + 13 bins + 13 modes + 13 impacts + ~65 flattened dist

@@ -13,8 +13,8 @@
 //     accuracy decay across the paper's look-ahead window is visible.
 //  2. Model-state probes — per-attribute Markov transition-row entropy
 //     and row-occupancy gauges, classifier CPT support / log-odds
-//     spread, discretizer bin counts, sampled on a round cadence so the
-//     steady-state cost stays under the <5% overhead bar.
+//     spread, discretizer bin counts, sampled on a round cadence
+//     (DESIGN.md "Overhead accounting" has the measured cost).
 //  3. Drift detector — a recent-window Brier / log-loss comparison
 //     against the lifetime baseline, plus a bin-occupancy shift (total
 //     variation distance between the training-time and recent-window
@@ -24,7 +24,7 @@
 //
 // Threading contract: like the SpanTracer, the introspector is confined
 // to the driver thread. The controller folds each VM's per-horizon
-// probabilities into it in deterministic (map) VM order, so the
+// probabilities into it in deterministic VM-name order, so the
 // calibration state, drift records, and exported JSONL are bit-identical
 // on every run of one seed. No wall clock enters: cadences are round
 // counters, timestamps are sim time. Machine-checked: the class carries
@@ -74,15 +74,15 @@ struct IntrospectConfig {
   /// this-many management rounds.
   std::size_t probe_period_rounds = 12;
   /// Compute the fully scored per-step horizon path every this-many
-  /// management rounds (1 = every round). The scored path costs extra
-  /// per-step marginalizations plus k classifier evaluations per VM —
-  /// roughly 20-25% on top of a bare prediction round — so the default
-  /// stride amortizes it below the <5% end-to-end overhead bar while
-  /// every horizon step still accumulates calibration samples at the
-  /// same (strided) rate (8 divides the default 24-step horizon, so the
-  /// resolution schedule stays aligned with it). Deterministic: keyed
-  /// off the round counter, decided once per round before any VM
-  /// predicts.
+  /// management rounds (1 = every round). The scored path costs the
+  /// mode row of every look-ahead step plus k classifier evaluations
+  /// per VM, about twice a bare prediction (DESIGN.md "Overhead
+  /// accounting" has the measurements). The default stride spreads
+  /// that over eight rounds, while every horizon step still
+  /// accumulates calibration samples at the same (strided) rate (8
+  /// divides the default 24-step horizon, so the resolution schedule
+  /// stays aligned with it). Deterministic: keyed off the round
+  /// counter, decided once per round before any VM predicts.
   std::size_t calibration_stride = 8;
   /// Capacity guard: model_drift records beyond this are dropped (and
   /// counted in model.drift.records_dropped_total).

@@ -25,7 +25,7 @@
 //
 // Threading contract: the tracer is confined to the driver thread, like
 // everything in sim/ (see DESIGN.md section 10). The controller calls it
-// in deterministic (map) VM order, so every run of one seed produces a
+// in deterministic VM-name order, so every run of one seed produces a
 // bit-identical span set. Machine-checked: the class carries
 // PREPARE_DRIVER_CONFINED, so tools/prepare_analyze.py flags any worker
 // lambda that reaches one of its methods. The metrics it publishes go

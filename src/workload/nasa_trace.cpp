@@ -14,10 +14,19 @@ NasaTraceWorkload::NasaTraceWorkload(Config config, std::uint64_t seed)
   PREPARE_CHECK(config_.base_rate > 0.0);
   PREPARE_CHECK(config_.compression > 0.0);
   PREPARE_CHECK(config_.horizon_s > 0.0);
-  // Precompute burst arrivals as a Poisson process over compressed time.
+  PREPARE_CHECK(config_.day_seconds > 0.0);
+  PREPARE_CHECK(config_.burst_rate_per_day >= 0.0 &&
+                std::isfinite(config_.burst_rate_per_day));
+  // Precompute burst arrivals as a Poisson process over compressed time;
+  // a zero rate has none (an exponential draw needs a positive rate).
+  if (config_.burst_rate_per_day == 0.0) return;
   Rng rng(seed);
   const double compressed_day = config_.day_seconds / config_.compression;
   const double burst_rate_per_s = config_.burst_rate_per_day / compressed_day;
+  // A rate of +inf draws 0 forever, and one that underflows to 0 breaks
+  // the draw's precondition.
+  PREPARE_CHECK(std::isfinite(burst_rate_per_s) && burst_rate_per_s > 0.0)
+      << "burst rate " << burst_rate_per_s << "/s";
   double t = 0.0;
   while (true) {
     t += rng.exponential(burst_rate_per_s);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -427,8 +428,8 @@ class MarkovBankKernel
 
 // Every lane of every group equals its attribute's scalar push, bit for
 // bit (EXPECT_EQ, not EXPECT_DOUBLE_EQ's 4 ulps), after training and
-// after runtime rows that learn, and the per-step path equals the
-// final-step prediction of every shorter horizon.
+// after runtime rows that learn, and the per-step modes are the modes
+// of the final-step prediction of every shorter horizon.
 TEST_P(MarkovBankKernel, BitIdenticalToScalarPush) {
   const auto [order, width] = GetParam();
   const MixedFixture f = mixed_fixture(width, 100 + order * 7 + width);
@@ -449,10 +450,11 @@ TEST_P(MarkovBankKernel, BitIdenticalToScalarPush) {
         history[a].push_back(f.runtime[round - 1][a]);
     }
     if (round % 3 != 0) continue;
-    std::vector<Distribution> dists, path;
-    bank.predict_into(TickIndex{24}, &dists, &path);
+    std::vector<Distribution> dists;
+    std::vector<std::size_t> modes;
+    bank.predict_into(TickIndex{24}, &dists, &modes);
     ASSERT_EQ(dists.size(), width);
-    ASSERT_EQ(path.size(), 24 * width);
+    ASSERT_EQ(modes.size(), 24 * width);
     for (std::size_t steps : {1u, 2u, 24u}) {
       const auto single = bank.predict(TickIndex{steps});
       for (std::size_t a = 0; a < width; ++a) {
@@ -468,12 +470,12 @@ TEST_P(MarkovBankKernel, BitIdenticalToScalarPush) {
     for (std::size_t s = 0; s < 24; ++s) {
       const auto single = bank.predict(TickIndex{s + 1});
       for (std::size_t a = 0; a < width; ++a)
-        for (std::size_t j = 0; j < f.alphabets[a]; ++j)
-          EXPECT_EQ(path[s * width + a][j], single[a][j])
-              << "attribute " << a << " step " << s + 1 << " bin " << j;
+        EXPECT_EQ(modes[s * width + a], single[a].mode())
+            << "attribute " << a << " step " << s + 1;
     }
+    const auto full = bank.predict(TickIndex{24});
     for (std::size_t a = 0; a < width; ++a)
-      EXPECT_EQ(dists[a].probabilities(), path[23 * width + a].probabilities());
+      EXPECT_EQ(dists[a].probabilities(), full[a].probabilities());
   }
 }
 
@@ -541,6 +543,91 @@ TEST(MarkovBank, RetrainResetsCountsAndContext) {
   EXPECT_EQ(p[1].mode(), 2u);
   EXPECT_THROW(bank.train({{0, 1}}), CheckFailure);          // one sequence
   EXPECT_THROW(bank.train({{0, 1}, {0, 1, 2}}), CheckFailure);  // lengths
+}
+
+/// row_stats() of a bank that never called it before: every row's
+/// entropy computed afresh from the same counts.
+MarkovBank::RowStats uncached_row_stats(
+    std::size_t order, const std::vector<std::size_t>& alphabets,
+    const std::vector<std::vector<std::size_t>>& history,
+    std::size_t attribute) {
+  return MarkovBank(order, alphabets, 0.05, history).row_stats(attribute);
+}
+
+void expect_same_stats(const MarkovBank::RowStats& got,
+                       const MarkovBank::RowStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.rows, want.rows) << where;
+  EXPECT_EQ(got.occupied_rows, want.occupied_rows) << where;
+  EXPECT_EQ(got.entropy_sum, want.entropy_sum) << where;
+  EXPECT_EQ(got.entropy_max, want.entropy_max) << where;
+  EXPECT_EQ(got.count_total, want.count_total) << where;
+}
+
+// row_stats() recomputes only the rows that changed since its last
+// call; the result equals a fresh computation bit for bit after every
+// learning observe(), and after a retrain whose rows keep their count
+// totals but not their counts.
+TEST(MarkovBank, RowStatsMatchRecomputation) {
+  const std::vector<std::size_t> alphabets = {3, 5, 4};
+  for (std::size_t order : {1u, 2u}) {
+    std::vector<std::vector<std::size_t>> history;
+    for (std::size_t a = 0; a < alphabets.size(); ++a)
+      history.push_back(random_sequence(60, alphabets[a], 70 + a));
+    MarkovBank bank(order, alphabets, 0.05, history);
+    const std::vector<std::vector<std::size_t>> runtime = {
+        random_sequence(40, 3, 80), random_sequence(40, 5, 81),
+        random_sequence(40, 4, 82)};
+    for (std::size_t t = 0; t < 40; ++t) {
+      std::vector<std::size_t> row;
+      for (std::size_t a = 0; a < alphabets.size(); ++a) {
+        row.push_back(runtime[a][t]);
+        history[a].push_back(runtime[a][t]);
+      }
+      bank.observe(row, /*learn=*/true);
+      for (std::size_t a = 0; a < alphabets.size(); ++a)
+        expect_same_stats(bank.row_stats(a),
+                          uncached_row_stats(order, alphabets, history, a),
+                          "order " + std::to_string(order) + " row " +
+                              std::to_string(t) + " attribute " +
+                              std::to_string(a));
+    }
+  }
+  // Order 1, two symbols: 0 0 1 1 0 counts 0->0, 0->1, 1->1, 1->0 and
+  // 0 1 0 1 0 counts 0->1 twice and 1->0 twice. Both rows keep a total
+  // of 2, but their entropies change.
+  MarkovBank bank(1, {2}, 0.05, {{0, 0, 1, 1, 0}});
+  const MarkovBank::RowStats before = bank.row_stats(0);
+  bank.train({{0, 1, 0, 1, 0}});
+  const MarkovBank::RowStats after = bank.row_stats(0);
+  EXPECT_EQ(after.count_total, before.count_total);
+  EXPECT_LT(after.entropy_sum, before.entropy_sum);
+  expect_same_stats(after, uncached_row_stats(1, {2}, {{0, 1, 0, 1, 0}}, 0),
+                    "after retrain");
+}
+
+// A corrupt model state still throws the CheckFailure of
+// Distribution::normalize(): with an infinite pseudo-count every row is
+// inf / inf = NaN, on the final step and on the per-step path alike.
+TEST(MarkovBank, NonFiniteMassThrows) {
+  MarkovBank bank(2, {3, 5}, std::numeric_limits<double>::infinity());
+  bank.train({random_sequence(30, 3, 90), random_sequence(30, 5, 91)});
+  std::vector<Distribution> dists;
+  std::vector<std::size_t> modes;
+  for (std::vector<std::size_t>* sink :
+       {static_cast<std::vector<std::size_t>*>(nullptr), &modes}) {
+    try {
+      bank.predict_into(TickIndex{3}, &dists, sink);
+      ADD_FAILURE() << "a NaN look-ahead did not throw";
+    } catch (const CheckFailure& e) {
+      // With DCHECKs on, the step's mass-conservation check fires first.
+      if (!PREPARE_DCHECK_IS_ON) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("non-finite mass"), std::string::npos) << what;
+        EXPECT_NE(what.find("at symbol 0"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 // ---- the step kernels ----
@@ -644,6 +731,69 @@ TEST_P(MarkovKernelWidths, MatchBaselineBitwise) {
   }
 }
 
+/// One marginal of `kernel` over the state vector `v`.
+struct Marginal {
+  bool ok = false;
+  std::vector<LaneRow> p;
+  LaneRow mode{};
+};
+
+Marginal marginal_of(Kernel kernel, const std::vector<LaneRow>& v,
+                     std::size_t width, std::size_t stride,
+                     std::size_t lanes) {
+  Marginal m;
+  m.p.assign(width, LaneRow{});
+  m.ok = markov_kernel::marginal(kernel, v.data(), width, stride, lanes,
+                                 m.p.data(), &m.mode);
+  return m;
+}
+
+/// The state vectors a marginal reads: the inputs and the three steps
+/// after them, each with lanes `lanes`.. zeroed, as the last lane group
+/// of a bank leaves them.
+std::vector<std::vector<LaneRow>> marginal_inputs(const StepInputs& in,
+                                                  std::size_t lanes) {
+  std::vector<std::vector<LaneRow>> vs = three_steps(Kernel::k16, in);
+  vs.insert(vs.begin(), in.v);
+  for (auto& v : vs)
+    for (LaneRow& row : v)
+      for (std::size_t l = lanes; l < markov_kernel::kLanes; ++l)
+        row.lane[l] = 0.0;
+  return vs;
+}
+
+// The wider marginals match the 16-byte one bit for bit, with the same
+// verdict, at radix 2..8 and orders 1..3, with all 16 lanes used and
+// with the last 3 zeroed.
+TEST_P(MarkovKernelWidths, MarginalMatchesBaselineBitwise) {
+  const auto kernel = static_cast<Kernel>(GetParam());
+  if (!markov_kernel::supported(kernel))
+    GTEST_SKIP() << kernel_name(kernel) << " kernel not supported here";
+  Rng rng(47);
+  for (std::size_t width = 2; width <= 8; ++width) {
+    for (std::size_t order = 1; order <= 3; ++order) {
+      const StepInputs in = step_inputs(width, order, rng);
+      for (std::size_t lanes : {std::size_t{16}, std::size_t{13}}) {
+        for (const auto& v : marginal_inputs(in, lanes)) {
+          const Marginal want =
+              marginal_of(Kernel::k16, v, width, in.stride, lanes);
+          const Marginal got = marginal_of(kernel, v, width, in.stride, lanes);
+          ASSERT_EQ(got.ok, want.ok) << "width " << width << " order " << order;
+          if (!want.ok) continue;
+          for (std::size_t l = 0; l < lanes; ++l) {
+            ASSERT_EQ(got.mode.lane[l], want.mode.lane[l])
+                << "width " << width << " order " << order << " lane " << l;
+            for (std::size_t c = 0; c < width; ++c)
+              ASSERT_EQ(got.p[c].lane[l], want.p[c].lane[l])
+                  << "width " << width << " order " << order << " lane " << l
+                  << " symbol " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, MarkovKernelWidths,
                          ::testing::Values(32, 64));
 
@@ -669,6 +819,147 @@ TEST(MarkovKernel, BaselineIsTheDocumentedSum) {
                 << tail << " symbol " << c << " lane " << l;
           }
     }
+  }
+}
+
+// The 16-byte marginal evaluates the sums, quotients and mode that
+// markov_kernel.h documents, and declines exactly where it says.
+TEST(MarkovKernel, MarginalIsTheDocumentedSum) {
+  Rng rng(53);
+  for (std::size_t width = 2; width <= 8; ++width) {
+    for (std::size_t order = 1; order <= 3; ++order) {
+      const StepInputs in = step_inputs(width, order, rng);
+      for (std::size_t lanes : {std::size_t{16}, std::size_t{13}}) {
+        for (const auto& v : marginal_inputs(in, lanes)) {
+          const Marginal got =
+              marginal_of(Kernel::k16, v, width, in.stride, lanes);
+          bool ok = true;
+          std::vector<std::vector<double>> sums(markov_kernel::kLanes);
+          std::vector<double> totals(markov_kernel::kLanes, +0.0);
+          for (std::size_t l = 0; l < markov_kernel::kLanes; ++l) {
+            for (std::size_t c = 0; c < width; ++c) {
+              double sum = +0.0;
+              for (std::size_t pre = 0; pre < in.stride; ++pre)
+                sum += v[pre * width + c].lane[l];
+              sums[l].push_back(sum);
+              totals[l] += sum;
+              ok = ok && sum >= 0.0 && std::isfinite(sum);
+            }
+            if (l < lanes) ok = ok && totals[l] > 0.0;
+          }
+          ASSERT_EQ(got.ok, ok) << "width " << width << " order " << order;
+          if (!ok) continue;
+          for (std::size_t l = 0; l < lanes; ++l) {
+            std::size_t mode = 0;
+            for (std::size_t c = 0; c < width; ++c) {
+              const double q = sums[l][c] / totals[l];
+              ASSERT_EQ(got.p[c].lane[l], q)
+                  << "width " << width << " order " << order << " lane " << l
+                  << " symbol " << c;
+              if (q > sums[l][mode] / totals[l]) mode = c;
+            }
+            ASSERT_EQ(got.mode.lane[l], static_cast<double>(mode))
+                << "width " << width << " order " << order << " lane " << l;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The kernels this host runs.
+std::vector<Kernel> supported_kernels() {
+  std::vector<Kernel> kernels;
+  for (Kernel kernel : {Kernel::k16, Kernel::k32, Kernel::k64})
+    if (markov_kernel::supported(kernel)) kernels.push_back(kernel);
+  return kernels;
+}
+
+// The mode compares quotients, not sums: symbols 0 and 1 have sums one
+// ulp apart that divide to the same double, so the lower symbol wins,
+// as in Distribution::mode(), although symbol 1's sum is larger.
+TEST(MarkovKernel, MarginalTieGoesToTheLowerSymbol) {
+  const double a = 1.9;
+  const double b = std::nextafter(a, 2.0);
+  double c = 0.0;
+  for (double x = 1.0; x < 1.5 && c == 0.0; x += 1.0 / 1024) {
+    const double total = ((+0.0 + a) + b) + x;
+    if (a / total == b / total) c = x;
+  }
+  ASSERT_GT(c, 0.0) << "no tie found";
+  std::vector<LaneRow> v(3, LaneRow{});
+  for (std::size_t l = 0; l < markov_kernel::kLanes; ++l) {
+    v[0].lane[l] = a;
+    v[1].lane[l] = b;
+    v[2].lane[l] = c;
+  }
+  for (Kernel kernel : supported_kernels()) {
+    const Marginal m = marginal_of(kernel, v, 3, 1, markov_kernel::kLanes);
+    ASSERT_TRUE(m.ok) << kernel_name(kernel);
+    for (std::size_t l = 0; l < markov_kernel::kLanes; ++l) {
+      EXPECT_EQ(m.p[0].lane[l], m.p[1].lane[l]) << kernel_name(kernel);
+      EXPECT_EQ(m.mode.lane[l], 0.0) << kernel_name(kernel) << " lane " << l;
+    }
+  }
+  Distribution d({a, b, c});
+  d.normalize();
+  EXPECT_EQ(d.mode(), 0u);
+}
+
+// Negative or non-finite mass in any lane, or an all-zero lane in use,
+// makes every kernel decline and leave the undivided sums in p; an
+// all-zero lane past `lanes` does not decline. The bank hands those sums
+// to Distribution::normalize(), which throws naming the bad symbol. No
+// state the bank builds holds negative mass (alpha > 0 and counts >= 0
+// make every cell >= 0), so that message is checked here, not through
+// predict_into().
+TEST(MarkovKernel, MarginalDeclinesCorruptMass) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Kernel kernel : supported_kernels()) {
+    // Order 2, radix 3: nine states; lane l holds mass 1 at state l % 9.
+    std::vector<LaneRow> clean(9, LaneRow{});
+    for (std::size_t l = 0; l < markov_kernel::kLanes; ++l)
+      clean[l % 9].lane[l] = 1.0;
+    EXPECT_TRUE(marginal_of(kernel, clean, 3, 3, 16).ok);
+    for (double bad : {-2.5, nan, inf, -inf}) {
+      for (std::size_t lane : {0u, 7u, 15u}) {
+        // State 4 is (1, 1): the bad mass lands in symbol 1's sum.
+        std::vector<LaneRow> v = clean;
+        v[4].lane[lane] = bad;
+        for (std::size_t lanes : {16u, 8u}) {
+          const Marginal m = marginal_of(kernel, v, 3, 3, lanes);
+          EXPECT_FALSE(m.ok) << kernel_name(kernel) << " mass " << bad
+                             << " lane " << lane << " of " << lanes;
+          for (std::size_t l = 0; l < markov_kernel::kLanes; ++l) {
+            for (std::size_t c = 0; c < 3; ++c) {
+              const double sum = ((+0.0 + v[c].lane[l]) + v[3 + c].lane[l]) +
+                                 v[6 + c].lane[l];
+              const double got = m.p[c].lane[l];
+              EXPECT_TRUE(got == sum || (std::isnan(got) && std::isnan(sum)))
+                  << kernel_name(kernel) << " lane " << l << " symbol " << c
+                  << ": " << got << " against " << sum;
+            }
+          }
+          Distribution d({m.p[0].lane[lane], m.p[1].lane[lane],
+                          m.p[2].lane[lane]});
+          try {
+            d.normalize();
+            ADD_FAILURE() << "mass " << bad << " normalized";
+          } catch (const CheckFailure& e) {
+            const std::string what = e.what();
+            const char* kind =
+                std::isfinite(bad) ? "negative mass" : "non-finite mass";
+            EXPECT_NE(what.find(kind), std::string::npos) << what;
+            EXPECT_NE(what.find("at symbol 1"), std::string::npos) << what;
+          }
+        }
+      }
+    }
+    std::vector<LaneRow> v = clean;
+    for (LaneRow& row : v) row.lane[12] = 0.0;
+    EXPECT_FALSE(marginal_of(kernel, v, 3, 3, 16).ok) << kernel_name(kernel);
+    EXPECT_TRUE(marginal_of(kernel, v, 3, 3, 12).ok) << kernel_name(kernel);
   }
 }
 

@@ -210,20 +210,26 @@ TEST(ModelIntrospect, ProbeGaugesPublish) {
 
 // ---- path prediction bit-identity ----
 
+// The horizon path's per-step mode rows are the modes of the
+// predictions of every shorter horizon, for every attribute.
 TEST(ModelIntrospect, PredictPathBitIdenticalToPredictInto) {
-  constexpr std::size_t kSteps = 12;
-  const auto seq = random_sequence(600, 4, 7);
+  constexpr std::size_t kSteps = 24;
+  const std::vector<std::size_t> alphabets = {4, 3, 5};
+  std::vector<std::vector<std::size_t>> seqs;
+  for (std::size_t i = 0; i < alphabets.size(); ++i)
+    seqs.push_back(random_sequence(600, alphabets[i], 7 + i));
   for (std::size_t order : {1u, 2u, 3u}) {
-    MarkovBank bank(order, {4});
-    bank.train({seq});
-    std::vector<Distribution> dists, path;
-    bank.predict_into(TickIndex{kSteps}, &dists, &path);
-    ASSERT_EQ(path.size(), kSteps);
+    MarkovBank bank(order, alphabets);
+    bank.train(seqs);
+    std::vector<Distribution> dists;
+    std::vector<std::size_t> modes;
+    bank.predict_into(TickIndex{kSteps}, &dists, &modes);
+    ASSERT_EQ(modes.size(), kSteps * alphabets.size());
     for (std::size_t s = 0; s < kSteps; ++s) {
-      const Distribution single = bank.predict(TickIndex{s + 1})[0];
-      for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(path[s][i], single[i])
-            << "order " << order << " step " << s << " bin " << i;
+      const auto single = bank.predict(TickIndex{s + 1});
+      for (std::size_t i = 0; i < alphabets.size(); ++i)
+        EXPECT_EQ(modes[s * alphabets.size() + i], single[i].mode())
+            << "order " << order << " step " << s + 1 << " attribute " << i;
     }
   }
 }

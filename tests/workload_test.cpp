@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -112,6 +113,7 @@ TEST(NasaTrace, BurstsRaiseRate) {
   bursty.burst_rate_per_day = 500.0;  // many bursts
   NasaTraceWorkload quiet(base, 2);
   NasaTraceWorkload loud(bursty, 2);
+  EXPECT_EQ(quiet.burst_count(), 0u);
   EXPECT_GT(loud.burst_count(), 0u);
   double quiet_sum = 0.0, loud_sum = 0.0;
   for (double t = 0.0; t < 1800.0; t += 5.0) {
@@ -124,6 +126,21 @@ TEST(NasaTrace, BurstsRaiseRate) {
 TEST(NasaTrace, RejectsBadConfig) {
   NasaTraceConfig c;
   c.base_rate = 0.0;
+  EXPECT_THROW(NasaTraceWorkload(c, 1), CheckFailure);
+  c = NasaTraceConfig{};
+  c.burst_rate_per_day = -1.0;  // arrivals would walk backwards forever
+  EXPECT_THROW(NasaTraceWorkload(c, 1), CheckFailure);
+  // Arrivals that never pass the horizon: a rate of +inf draws 0.
+  c.burst_rate_per_day = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(NasaTraceWorkload(c, 1), CheckFailure);
+  c = NasaTraceConfig{};
+  for (double day : {0.0, -86400.0}) {
+    c.day_seconds = day;
+    EXPECT_THROW(NasaTraceWorkload(c, 1), CheckFailure) << "day " << day;
+  }
+  c = NasaTraceConfig{};
+  // The compressed day is 0 s, so the burst rate is +inf.
+  c.compression = std::numeric_limits<double>::infinity();
   EXPECT_THROW(NasaTraceWorkload(c, 1), CheckFailure);
 }
 
