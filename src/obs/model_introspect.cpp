@@ -95,6 +95,7 @@ void ModelIntrospect::set_horizon(std::size_t steps,
 
 void ModelIntrospect::set_attribute_names(std::vector<std::string> names) {
   attribute_names_ = std::move(names);
+  probe_gauges_.clear();
 }
 
 void ModelIntrospect::add_baseline_occupancy(
@@ -313,14 +314,20 @@ void ModelIntrospect::end_probe() {
     occupancy_sum += accum.occupancy_sum;
     samples += accum.samples;
     if (metrics_ != nullptr) {
-      const std::string name = i < attribute_names_.size()
-                                   ? attribute_names_[i]
-                                   : "attr" + std::to_string(i);
+      if (i >= probe_gauges_.size()) probe_gauges_.resize(i + 1);
+      ProbeGauges& gauges = probe_gauges_[i];
+      if (gauges.row_entropy == nullptr) {
+        const std::string name = i < attribute_names_.size()
+                                     ? attribute_names_[i]
+                                     : "attr" + std::to_string(i);
+        gauges.row_entropy =
+            gauge(metrics_, "model.markov." + name + ".row_entropy");
+        gauges.row_occupancy =
+            gauge(metrics_, "model.markov." + name + ".row_occupancy");
+      }
       const double denom = static_cast<double>(accum.samples);
-      set(gauge(metrics_, "model.markov." + name + ".row_entropy"),
-          accum.entropy_sum / denom);
-      set(gauge(metrics_, "model.markov." + name + ".row_occupancy"),
-          accum.occupancy_sum / denom);
+      set(gauges.row_entropy, accum.entropy_sum / denom);
+      set(gauges.row_occupancy, accum.occupancy_sum / denom);
     }
   }
   if (samples > 0) {

@@ -280,6 +280,14 @@ class PREPARE_DRIVER_CONFINED ModelIntrospect {
     std::size_t samples = 0;
   };
   std::vector<ProbeAccum> probe_markov_;
+  /// Per-attribute probe gauges, kept from their first registration on
+  /// so a probe builds no name and takes no registry lock; emptied by
+  /// set_attribute_names(), which renames them.
+  struct ProbeGauges {
+    Gauge* row_entropy = nullptr;
+    Gauge* row_occupancy = nullptr;
+  };
+  std::vector<ProbeGauges> probe_gauges_;
   double probe_cpt_support_min_ = 0.0;
   double probe_log_odds_spread_max_ = 0.0;
   std::size_t probe_classifiers_ = 0;

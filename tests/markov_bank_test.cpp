@@ -451,9 +451,10 @@ TEST_P(MarkovBankKernel, BitIdenticalToScalarPush) {
     }
     if (round % 3 != 0) continue;
     std::vector<Distribution> dists;
-    std::vector<std::size_t> modes;
-    bank.predict_into(TickIndex{24}, &dists, &modes);
+    std::vector<std::size_t> mode_row, modes;
+    bank.predict_into(TickIndex{24}, &dists, &mode_row, &modes);
     ASSERT_EQ(dists.size(), width);
+    ASSERT_EQ(mode_row.size(), width);
     ASSERT_EQ(modes.size(), 24 * width);
     for (std::size_t steps : {1u, 2u, 24u}) {
       const auto single = bank.predict(TickIndex{steps});
@@ -474,8 +475,10 @@ TEST_P(MarkovBankKernel, BitIdenticalToScalarPush) {
             << "attribute " << a << " step " << s + 1;
     }
     const auto full = bank.predict(TickIndex{24});
-    for (std::size_t a = 0; a < width; ++a)
+    for (std::size_t a = 0; a < width; ++a) {
       EXPECT_EQ(dists[a].probabilities(), full[a].probabilities());
+      EXPECT_EQ(mode_row[a], dists[a].mode()) << "attribute " << a;
+    }
   }
 }
 
@@ -545,13 +548,41 @@ TEST(MarkovBank, RetrainResetsCountsAndContext) {
   EXPECT_THROW(bank.train({{0, 1}, {0, 1, 2}}), CheckFailure);  // lengths
 }
 
-/// row_stats() of a bank that never called it before: every row's
-/// entropy computed afresh from the same counts.
-MarkovBank::RowStats uncached_row_stats(
-    std::size_t order, const std::vector<std::size_t>& alphabets,
-    const std::vector<std::vector<std::size_t>>& history,
-    std::size_t attribute) {
-  return MarkovBank(order, alphabets, 0.05, history).row_stats(attribute);
+/// row_stats() recomputed from the public transition(): every context
+/// in attribute-radix order (the oldest symbol the most significant
+/// digit), with each row's count total taken from the transitions of
+/// the attribute's own `history`.
+MarkovBank::RowStats reference_row_stats(
+    const MarkovBank& bank, std::size_t attribute,
+    const std::vector<std::size_t>& history) {
+  const std::size_t a = bank.alphabet(attribute);
+  const std::size_t order = bank.order();
+  std::size_t rows = 1;
+  for (std::size_t i = 0; i < order; ++i) rows *= a;
+  std::vector<double> totals(rows, 0.0);
+  for (std::size_t t = order; t < history.size(); ++t) {
+    std::size_t row = 0;
+    for (std::size_t i = t - order; i < t; ++i) row = row * a + history[i];
+    totals[row] += 1.0;
+  }
+  MarkovBank::RowStats stats;
+  stats.rows = rows;
+  std::vector<std::size_t> context(order);
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::size_t i = 0, rest = row; i < order; ++i, rest /= a)
+      context[order - 1 - i] = rest % a;
+    stats.count_total += totals[row];
+    if (totals[row] == 0.0) continue;
+    ++stats.occupied_rows;
+    double entropy = 0.0;
+    for (std::size_t c = 0; c < a; ++c) {
+      const double p = bank.transition(attribute, context, BinIndex{c}).value();
+      entropy -= p * std::log(p);
+    }
+    stats.entropy_sum += entropy;
+    stats.entropy_max = std::max(stats.entropy_max, entropy);
+  }
+  return stats;
 }
 
 void expect_same_stats(const MarkovBank::RowStats& got,
@@ -564,13 +595,14 @@ void expect_same_stats(const MarkovBank::RowStats& got,
   EXPECT_EQ(got.count_total, want.count_total) << where;
 }
 
-// row_stats() recomputes only the rows that changed since its last
-// call; the result equals a fresh computation bit for bit after every
-// learning observe(), and after a retrain whose rows keep their count
-// totals but not their counts.
+// row_stats() walks the rows in attribute-radix order and recomputes
+// only the rows that changed since its last call; the result equals the
+// reference bit for bit after training, after every learning observe(),
+// and after a retrain whose rows keep their count totals but not their
+// counts.
 TEST(MarkovBank, RowStatsMatchRecomputation) {
   const std::vector<std::size_t> alphabets = {3, 5, 4};
-  for (std::size_t order : {1u, 2u}) {
+  for (std::size_t order : {1u, 2u, 3u}) {
     std::vector<std::vector<std::size_t>> history;
     for (std::size_t a = 0; a < alphabets.size(); ++a)
       history.push_back(random_sequence(60, alphabets[a], 70 + a));
@@ -578,16 +610,18 @@ TEST(MarkovBank, RowStatsMatchRecomputation) {
     const std::vector<std::vector<std::size_t>> runtime = {
         random_sequence(40, 3, 80), random_sequence(40, 5, 81),
         random_sequence(40, 4, 82)};
-    for (std::size_t t = 0; t < 40; ++t) {
-      std::vector<std::size_t> row;
-      for (std::size_t a = 0; a < alphabets.size(); ++a) {
-        row.push_back(runtime[a][t]);
-        history[a].push_back(runtime[a][t]);
+    for (std::size_t t = 0; t <= 40; ++t) {
+      if (t > 0) {
+        std::vector<std::size_t> row;
+        for (std::size_t a = 0; a < alphabets.size(); ++a) {
+          row.push_back(runtime[a][t - 1]);
+          history[a].push_back(runtime[a][t - 1]);
+        }
+        bank.observe(row, /*learn=*/true);
       }
-      bank.observe(row, /*learn=*/true);
       for (std::size_t a = 0; a < alphabets.size(); ++a)
         expect_same_stats(bank.row_stats(a),
-                          uncached_row_stats(order, alphabets, history, a),
+                          reference_row_stats(bank, a, history[a]),
                           "order " + std::to_string(order) + " row " +
                               std::to_string(t) + " attribute " +
                               std::to_string(a));
@@ -602,7 +636,7 @@ TEST(MarkovBank, RowStatsMatchRecomputation) {
   const MarkovBank::RowStats after = bank.row_stats(0);
   EXPECT_EQ(after.count_total, before.count_total);
   EXPECT_LT(after.entropy_sum, before.entropy_sum);
-  expect_same_stats(after, uncached_row_stats(1, {2}, {{0, 1, 0, 1, 0}}, 0),
+  expect_same_stats(after, reference_row_stats(bank, 0, {0, 1, 0, 1, 0}),
                     "after retrain");
 }
 
@@ -613,11 +647,11 @@ TEST(MarkovBank, NonFiniteMassThrows) {
   MarkovBank bank(2, {3, 5}, std::numeric_limits<double>::infinity());
   bank.train({random_sequence(30, 3, 90), random_sequence(30, 5, 91)});
   std::vector<Distribution> dists;
-  std::vector<std::size_t> modes;
+  std::vector<std::size_t> mode_row, modes;
   for (std::vector<std::size_t>* sink :
        {static_cast<std::vector<std::size_t>*>(nullptr), &modes}) {
     try {
-      bank.predict_into(TickIndex{3}, &dists, sink);
+      bank.predict_into(TickIndex{3}, &dists, &mode_row, sink);
       ADD_FAILURE() << "a NaN look-ahead did not throw";
     } catch (const CheckFailure& e) {
       // With DCHECKs on, the step's mass-conservation check fires first.
@@ -960,6 +994,81 @@ TEST(MarkovKernel, MarginalDeclinesCorruptMass) {
     for (LaneRow& row : v) row.lane[12] = 0.0;
     EXPECT_FALSE(marginal_of(kernel, v, 3, 3, 16).ok) << kernel_name(kernel);
     EXPECT_TRUE(marginal_of(kernel, v, 3, 3, 12).ok) << kernel_name(kernel);
+  }
+}
+
+// The final mode row MarkovBank::marginalize reads from each kernel's
+// marginal is Distribution::mode() of the distribution it returns, on
+// every kernel the host runs: where the kernel accepts, its mode is the
+// mode of its quotients; where it declines, the bank normalizes the sums
+// it left and takes their mode, so an all-zero marginal in a lane in use
+// turns uniform, with mode 0.
+TEST(MarkovKernel, ModeRowIsTheDistributionMode) {
+  for (Kernel kernel : supported_kernels()) {
+    Rng rng(59);
+    for (std::size_t width = 2; width <= 8; ++width) {
+      for (std::size_t order = 1; order <= 3; ++order) {
+        const StepInputs in = step_inputs(width, order, rng);
+        for (std::size_t lanes : {std::size_t{16}, std::size_t{13}}) {
+          std::vector<std::vector<LaneRow>> vs = marginal_inputs(in, lanes);
+          const std::size_t zero_lane = lanes - 1;
+          vs.push_back(vs.back());
+          for (LaneRow& row : vs.back()) row.lane[zero_lane] = 0.0;
+          for (std::size_t i = 0; i < vs.size(); ++i) {
+            const bool zeroed = i + 1 == vs.size();
+            const Marginal m =
+                marginal_of(kernel, vs[i], width, in.stride, lanes);
+            if (zeroed) {
+              ASSERT_FALSE(m.ok) << kernel_name(kernel);
+            }
+            for (std::size_t l = 0; l < lanes; ++l) {
+              // step_inputs() gives lane l this alphabet, as a bank pads.
+              const std::size_t alphabet = 2 + l % (width - 1);
+              Distribution d(alphabet);
+              for (std::size_t c = 0; c < alphabet; ++c) d[c] = m.p[c].lane[l];
+              if (!m.ok) {
+                d.normalize();
+              } else {
+                ASSERT_EQ(static_cast<std::size_t>(m.mode.lane[l]), d.mode())
+                    << kernel_name(kernel) << " width " << width << " order "
+                    << order << " lane " << l;
+              }
+              if (zeroed && l == zero_lane) {
+                EXPECT_EQ(d.probabilities(),
+                          Distribution::uniform(alphabet).probabilities());
+                EXPECT_EQ(d.mode(), 0u);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The bank returns an all-zero marginal as a uniform distribution with
+// mode 0. With a pseudo-count of 1e308, alpha times the alphabet
+// overflows, so every smoothed cell is 1e308 / inf = 0 and the state
+// loses all its mass in the first step. With DCHECKs on, the step's
+// mass-conservation check fires first.
+TEST(MarkovBank, AllZeroMarginalTurnsUniform) {
+  MarkovBank bank(2, {3, 5}, 1e308);
+  bank.train({random_sequence(30, 3, 92), random_sequence(30, 5, 93)});
+  std::vector<Distribution> dists;
+  std::vector<std::size_t> mode_row, modes;
+  if (PREPARE_DCHECK_IS_ON) {
+    EXPECT_THROW(bank.predict_into(TickIndex{3}, &dists, &mode_row, &modes),
+                 CheckFailure);
+    return;
+  }
+  bank.predict_into(TickIndex{3}, &dists, &mode_row, &modes);
+  ASSERT_EQ(mode_row.size(), 2u);
+  ASSERT_EQ(modes.size(), 6u);
+  for (std::size_t a = 0; a < 2; ++a) {
+    EXPECT_EQ(dists[a].probabilities(),
+              Distribution::uniform(bank.alphabet(a)).probabilities());
+    EXPECT_EQ(mode_row[a], 0u);
+    for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(modes[s * 2 + a], 0u);
   }
 }
 

@@ -222,8 +222,8 @@ TEST(ModelIntrospect, PredictPathBitIdenticalToPredictInto) {
     MarkovBank bank(order, alphabets);
     bank.train(seqs);
     std::vector<Distribution> dists;
-    std::vector<std::size_t> modes;
-    bank.predict_into(TickIndex{kSteps}, &dists, &modes);
+    std::vector<std::size_t> mode_row, modes;
+    bank.predict_into(TickIndex{kSteps}, &dists, &mode_row, &modes);
     ASSERT_EQ(modes.size(), kSteps * alphabets.size());
     for (std::size_t s = 0; s < kSteps; ++s) {
       const auto single = bank.predict(TickIndex{s + 1});

@@ -1,6 +1,7 @@
 // Integration: the observability layer threaded through a full scenario
 // run — every pipeline stage histogram fills, the counters agree with
 // the event log, and attaching a registry does not change the outcome.
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -73,11 +74,14 @@ TEST(ObsIntegration, InstrumentationDoesNotChangeTheOutcome) {
   EXPECT_EQ(instrumented.faulty_vm, bare.faulty_vm);
 }
 
+// The reactive round times its stages too, and pays only for what its
+// fallback reads: it discretizes each trained VM's latest sample once
+// per fallback round, to classify it, and never looks ahead.
 TEST(ObsIntegration, ReactiveControllerTimesItsStagesToo) {
   obs::MetricsRegistry registry;
   auto config = base_config(Scheme::kReactive);
   config.metrics = &registry;
-  run_scenario(config);
+  const ScenarioResult result = run_scenario(config);
   for (const char* stage :
        {obs::kStageMonitorSample, obs::kStageDiscretize,
         obs::kStageCauseInference, obs::kStagePrevention}) {
@@ -86,6 +90,17 @@ TEST(ObsIntegration, ReactiveControllerTimesItsStagesToo) {
     ASSERT_NE(it, registry.histograms().end()) << stage;
     EXPECT_GT(it->second.count(), 0u) << stage;
   }
+  const auto samples = [&](const char* stage) -> std::uint64_t {
+    const auto it = registry.histograms().find(obs::stage_metric_name(stage));
+    return it == registry.histograms().end() ? 0 : it->second.count();
+  };
+  const auto fallback_rounds = static_cast<std::uint64_t>(
+      registry.counter("controller.reactive_fallbacks_total")->value());
+  EXPECT_GT(fallback_rounds, 0u);
+  EXPECT_EQ(samples(obs::kStageDiscretize), samples(obs::kStageTanClassify));
+  // Every VM of the app has training samples, so every VM trains.
+  EXPECT_EQ(samples(obs::kStageDiscretize), fallback_rounds * result.vm_count);
+  EXPECT_EQ(samples(obs::kStageMarkovLookahead), 0u);
 }
 
 TEST(ObsIntegration, FullTraceExportIsWellFormedJsonl) {
