@@ -1,11 +1,20 @@
 #include "monitor/metric_store.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace prepare {
 
 void MetricStore::record(const std::string& vm_name, double time,
                          const AttributeVector& values) {
+  // Rejected here, before any series grows, whether or not a controller
+  // round ever reads the sample.
+  for (std::size_t a = 0; a < kAttributeCount; ++a)
+    PREPARE_CHECK(std::isfinite(values[a]))
+        << "VM " << vm_name << " attribute "
+        << attribute_name(static_cast<Attribute>(a)) << " sampled "
+        << values[a] << " at t=" << time;
   auto it = histories_.find(vm_name);
   if (it == histories_.end()) {
     it = histories_.emplace(vm_name, History{}).first;

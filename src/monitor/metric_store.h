@@ -16,7 +16,9 @@ namespace prepare {
 
 class MetricStore {
  public:
-  /// Appends one monitoring sample for a VM.
+  /// Appends one monitoring sample for a VM. Every value must be
+  /// finite; a NaN or infinite one throws CheckFailure and stores
+  /// nothing.
   void record(const std::string& vm_name, double time,
               const AttributeVector& values);
 

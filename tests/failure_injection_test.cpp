@@ -3,6 +3,7 @@
 // the monitoring feed is missing. The paper's robustness mechanisms
 // (reactive fallback, validation, scaling fallback) must bound the
 // damage in every case.
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -134,6 +135,59 @@ TEST(FailureInjection, OnSampleBeforeAnySamplesIsSafe) {
   ControllerContext ctx{&app, &cluster, &hypervisor, &store, &slo, &events};
   PrepareController controller(ctx);
   EXPECT_NO_THROW(controller.on_sample(0.0));  // empty store, untrained
+}
+
+TEST(FailureInjection, NonFiniteSampleInAQuietReactiveRoundThrows) {
+  // The reactive round reads samples only once the SLO is violated; a
+  // corrupt sample in a quiet round must be rejected all the same.
+  SimClock clock;
+  Cluster cluster;
+  EventLog events;
+  Hypervisor hypervisor(&clock, &cluster, &events);
+  std::vector<Vm*> vms;
+  for (int i = 0; i < 7; ++i) {
+    Host* host = cluster.add_host("h" + std::to_string(i));
+    vms.push_back(
+        cluster.add_vm("pe" + std::to_string(i + 1), 1.0, 512.0, host));
+  }
+  ConstantWorkload workload(25000.0);
+  StreamApp app(vms, &workload);
+  VmMonitor monitor;
+  MetricStore store;
+  SloLog slo;
+  ControllerContext ctx{&app, &cluster, &hypervisor, &store, &slo, &events};
+  ReactiveController controller(ctx);
+
+  bool trained = false;
+  bool corrupted = false;
+  for (std::size_t tick = 0; clock.now() < 600.0; ++tick) {
+    const double now = clock.now();
+    for (Vm* vm : vms) vm->begin_tick();
+    app.step(now, 1.0);
+    slo.record(now, 1.0, app.slo_violated(), app.slo_metric());
+    if (tick % 5 == 0) {
+      for (Vm* vm : vms) {
+        AttributeVector sample = monitor.sample(*vm);
+        if (trained && !corrupted && vm == vms[2]) {
+          ASSERT_FALSE(slo.currently_violated()) << "t=" << now;
+          set(sample, Attribute::kCpuUtil,
+              std::numeric_limits<double>::quiet_NaN());
+          EXPECT_THROW(store.record(vm->name(), now, sample), CheckFailure);
+          corrupted = true;
+          continue;
+        }
+        store.record(vm->name(), now, sample);
+      }
+      if (!trained && now >= 450.0) {
+        controller.train(0.0, now);
+        trained = true;
+      }
+      controller.on_sample(now);
+    }
+    clock.advance(Seconds{1.0});
+  }
+  EXPECT_TRUE(corrupted);
+  EXPECT_EQ(events.count_of(EventKind::kPrevention), 0u);
 }
 
 TEST(FailureInjection, CountersAreConsistent) {

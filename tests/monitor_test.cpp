@@ -1,3 +1,7 @@
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -156,6 +160,25 @@ TEST(MetricStore, LatestSampleIsTheNewest) {
   const auto latest = store.latest_sample("vm");
   ASSERT_TRUE(latest.has_value());
   EXPECT_DOUBLE_EQ(get(*latest, Attribute::kNetIn), 4.0);
+}
+
+TEST(MetricStore, NonFiniteSamplesAreRejected) {
+  MetricStore store;
+  AttributeVector v{};
+  store.record("vm", 0.0, v);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    AttributeVector corrupt = v;
+    set(corrupt, Attribute::kFreeMem, bad);
+    EXPECT_THROW(store.record("vm", 5.0, corrupt), CheckFailure) << bad;
+    EXPECT_THROW(store.record("new", 5.0, corrupt), CheckFailure) << bad;
+  }
+  // Nothing was stored: the series stay aligned, no VM was added.
+  EXPECT_EQ(store.sample_count("vm"), 1u);
+  for (std::size_t a = 0; a < kAttributeCount; ++a)
+    EXPECT_EQ(store.series("vm", static_cast<Attribute>(a)).size(), 1u);
+  EXPECT_EQ(store.vm_names(), std::vector<std::string>{"vm"});
 }
 
 TEST(MetricStore, UnknownVmThrows) {
