@@ -239,6 +239,7 @@ MarkovBank::MarkovBank(std::size_t order, std::vector<std::size_t> alphabets,
   const std::size_t n = alphabets_.size();
   groups_ = (n + kLanes - 1) / kLanes;
   counts_.assign(n * states_ * width_, 0.0);
+  row_totals_.assign(n * states_, 0.0);
   probs_.assign(groups_ * states_ * width_, LaneRow{});
   context_.assign(n, 0);
   scratch_v_.assign(states_, LaneRow{});
@@ -286,14 +287,27 @@ double MarkovBank::probability(std::size_t attribute, std::size_t context,
       .lane[attribute % kLanes];
 }
 
+double MarkovBank::row_total(std::size_t attribute,
+                             std::size_t context) const {
+  const double total = row_totals_[attribute * states_ + context];
+#if PREPARE_DCHECK_IS_ON
+  const double* counts = &counts_[count_index(attribute, context, 0)];
+  double summed = 0.0;
+  for (std::size_t j = 0; j < alphabets_[attribute]; ++j) summed += counts[j];
+  PREPARE_DCHECK(total == summed)
+      << "attribute " << attribute << " context " << context << " total "
+      << total << " != summed counts " << summed;
+#endif
+  return total;
+}
+
 void MarkovBank::rebuild_row(std::size_t attribute, std::size_t context) {
   // (count + alpha) / (row_total + alpha * alphabet), summed over the
   // attribute's own alphabet; padded cells stay 0.
   const std::size_t a = alphabets_[attribute];
   const double* counts = &counts_[count_index(attribute, context, 0)];
-  double row_total = 0.0;
-  for (std::size_t j = 0; j < a; ++j) row_total += counts[j];
-  const double denom = row_total + alpha_ * static_cast<double>(a);
+  const double denom =
+      row_total(attribute, context) + alpha_ * static_cast<double>(a);
   const std::size_t lane = attribute % kLanes;
   LaneRow* row = &probs_[((attribute / kLanes) * states_ + context) * width_];
   for (std::size_t j = 0; j < a; ++j)
@@ -312,13 +326,17 @@ void MarkovBank::train(const std::vector<std::vector<std::size_t>>& sequences) {
   const std::size_t length = sequences.front().size();
   const std::size_t shift = states_ / width_;
   std::fill(counts_.begin(), counts_.end(), 0.0);
+  std::fill(row_totals_.begin(), row_totals_.end(), 0.0);
   for (std::size_t a = 0; a < n; ++a) {
     const std::vector<std::size_t>& seq = sequences[a];
     PREPARE_CHECK(seq.size() == length) << "attribute " << a;
     std::size_t context = 0;
     for (std::size_t t = 0; t < length; ++t) {
       PREPARE_CHECK(seq[t] < alphabets_[a]) << "attribute " << a;
-      if (t >= order_) counts_[count_index(a, context, seq[t])] += 1.0;
+      if (t >= order_) {
+        counts_[count_index(a, context, seq[t])] += 1.0;
+        row_totals_[a * states_ + context] += 1.0;
+      }
       // Drop the oldest symbol, the most significant digit, by
       // subtraction: it is still in the sequence, and `% shift` would
       // put an integer division on the loop's dependency chain.
@@ -343,6 +361,7 @@ void MarkovBank::observe(const std::vector<std::size_t>& row, bool learn) {
   for (std::size_t a = 0; a < n; ++a) {
     if (seen_ == order_ && learn) {
       counts_[count_index(a, context_[a], row[a])] += 1.0;
+      row_totals_[a * states_ + context_[a]] += 1.0;
       rebuild_row(a, context_[a]);
     }
     // Drop the oldest symbol (most significant digit), append the new.
@@ -467,21 +486,19 @@ MarkovBank::RowStats MarkovBank::row_stats(std::size_t attribute) const {
   // padded one (a digit >= a) never gets a count, so it is skipped as
   // empty, and the real rows come in attribute-radix order.
   for (std::size_t context = 0; context < states_; ++context) {
-    const double* counts = &counts_[count_index(attribute, context, 0)];
-    double row_total = 0.0;
-    for (std::size_t j = 0; j < a; ++j) row_total += counts[j];
-    stats.count_total += row_total;
-    if (row_total <= 0.0) continue;
+    const double total = row_total(attribute, context);
+    stats.count_total += total;
+    if (total <= 0.0) continue;
     ++stats.occupied_rows;
     RowEntropy& cached = row_entropy_[attribute * states_ + context];
-    if (cached.total != row_total) {
+    if (cached.total != total) {
       // Smoothed cells are strictly positive, so the log is finite.
       double entropy = 0.0;
       for (std::size_t j = 0; j < a; ++j) {
         const double p = probability(attribute, context, j);
         entropy -= p * std::log(p);
       }
-      cached = {row_total, entropy};
+      cached = {total, entropy};
     }
     stats.entropy_sum += cached.entropy;
     stats.entropy_max = std::max(stats.entropy_max, cached.entropy);

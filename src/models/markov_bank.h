@@ -115,6 +115,8 @@ class MarkovBank {
                           std::size_t next) const {
     return (attribute * states_ + context) * width_ + next;
   }
+  /// The stored count total of row (attribute, context).
+  double row_total(std::size_t attribute, std::size_t context) const;
   /// Stored smoothed P(next | context) of one attribute.
   double probability(std::size_t attribute, std::size_t context,
                      std::size_t next) const;
@@ -139,6 +141,10 @@ class MarkovBank {
   std::size_t groups_ = 0;  ///< lane groups of kLanes attributes
   /// Raw transition counts, [attribute][context][next].
   std::vector<double> counts_;
+  /// Each row's count total, [attribute][context]: train() sets it and a
+  /// learning observe() raises it by 1.0. Counts are whole numbers, so
+  /// it equals the row's summed counts in any order.
+  std::vector<double> row_totals_;
   /// Smoothed transition rows, [group][context][next].
   std::vector<LaneRow> probs_;
   /// Per-attribute rolling context index (radix width_).

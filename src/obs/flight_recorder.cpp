@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -41,6 +43,60 @@ const char* applied_action_name(int applied) {
   return "?";
 }
 
+// A stored tick's slot. Its doubles are t, the score and the prior,
+// then raw, impacts, dists and the horizon steps; its integers are the
+// four flags and the horizon length, then observed_row and mode_row.
+enum RealField : std::size_t { kT, kScore, kPrior, kRealHeader };
+enum IndexField : std::size_t {
+  kAbnormal,
+  kRawAlert,
+  kConfirmed,
+  kDecomposable,
+  kHorizonLen,
+  kIndexHeader
+};
+
+/// Where the impacts, dists and horizon steps start in a slot's doubles.
+std::size_t impacts_at(const EvidenceLayout& layout) {
+  return kRealHeader + layout.attributes;
+}
+std::size_t dists_at(const EvidenceLayout& layout) {
+  return kRealHeader + 2 * layout.attributes;
+}
+std::size_t horizon_at(const EvidenceLayout& layout) {
+  return dists_at(layout) + layout.offsets.back();
+}
+
+/// Whether two stored values have the same bits: the export writes -0.0
+/// and 0.0 differently, and must not tell NaNs apart by ==.
+template <typename T>
+bool same_bits(const T* a, const T* b, std::size_t count) {
+  return count == 0 || std::memcmp(a, b, count * sizeof(T)) == 0;
+}
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+/// Whether a tick record would carry the same fields after `phase`.
+bool same_tick(const EvidenceTick& a, const EvidenceTick& b) {
+  return same_bits(&a.t, &b.t, 1) && a.abnormal == b.abnormal &&
+         a.raw_alert == b.raw_alert && a.confirmed == b.confirmed &&
+         a.decomposable == b.decomposable &&
+         same_bits(&a.score, &b.score, 1) &&
+         same_bits(&a.prior_log_odds, &b.prior_log_odds, 1) &&
+         same_bits(a.raw, b.raw) && same_bits(a.observed_row, b.observed_row) &&
+         same_bits(a.mode_row, b.mode_row) && same_bits(a.impacts, b.impacts) &&
+         same_bits(a.dists, b.dists) &&
+         same_bits(a.horizon_probs, b.horizon_probs);
+}
+
+/// A tick whose record fields after `phase` were written, and their bytes.
+struct FormattedTick {
+  const EvidenceTick* tick = nullptr;
+  std::string fields;  ///< empty when the line was too long to read back
+};
+
 /// The keys prefix + first, prefix + (first + 1), ... (`count` of them).
 std::vector<std::string> numbered_keys(const char* prefix, std::size_t first,
                                        std::size_t count) {
@@ -77,18 +133,6 @@ void FlightRecorder::set_decision_config(const DecisionConfig& decision) {
   decision_ = decision;
 }
 
-void FlightRecorder::size_tick(EvidenceTick* tick,
-                               const EvidenceLayout& layout) const {
-  tick->raw.resize(layout.attributes);
-  tick->observed_row.resize(layout.attributes);
-  tick->mode_row.resize(layout.attributes);
-  tick->impacts.resize(layout.attributes);
-  tick->dists.resize(layout.offsets.back());
-  tick->horizon_probs.resize(layout.horizon_steps);
-  tick->horizon_len = 0;
-  tick->valid = false;
-}
-
 std::size_t FlightRecorder::register_vm(const std::string& vm,
                                         EvidenceLayout layout) {
   PREPARE_CHECK_MSG(slots_.count(vm) == 0, "VM registered twice: " + vm);
@@ -98,56 +142,92 @@ std::size_t FlightRecorder::register_vm(const std::string& vm,
   PerVm per;
   per.name = vm;
   per.layout = std::move(layout);
-  per.ring.resize(config_.ring_ticks);
-  for (auto& tick : per.ring) size_tick(&tick, per.layout);
-  // The open-capture storage is pre-sized here too, so an episode
-  // opening (and every capture append) stays allocation-free.
-  per.open.ticks.resize(config_.max_bundle_ticks);
-  for (auto& tick : per.open.ticks) size_tick(&tick, per.layout);
+  per.real_stride = horizon_at(per.layout) + per.layout.horizon_steps;
+  per.index_stride = kIndexHeader + 2 * per.layout.attributes;
+  // The open capture's slots follow the ring's in the same two blocks,
+  // so an episode opening (and every capture append) stays
+  // allocation-free.
+  const std::size_t slots = config_.ring_ticks + config_.max_bundle_ticks;
+  per.reals.resize(slots * per.real_stride);
+  per.indices.resize(slots * per.index_stride);
   vms_.push_back(std::move(per));
   const std::size_t slot = vms_.size() - 1;
   slots_.emplace(vm, slot);
   return slot;
 }
 
-void FlightRecorder::copy_frame(const EvidenceFrame& frame,
-                                const EvidenceLayout& layout,
-                                EvidenceTick* out) const {
-  out->t = frame.t;
-  out->abnormal = frame.abnormal;
-  out->raw_alert = frame.raw_alert;
-  out->confirmed = frame.confirmed;
-  out->score = frame.score;
-  out->prior_log_odds = frame.prior_log_odds;
-  out->decomposable = frame.decomposable;
+void FlightRecorder::copy_frame(const EvidenceFrame& frame, PerVm* vm,
+                                std::size_t slot) const {
+  const EvidenceLayout& layout = vm->layout;
+  double* reals = &vm->reals[slot * vm->real_stride];
+  std::size_t* indices = &vm->indices[slot * vm->index_stride];
   const std::size_t n = layout.attributes;
-  std::copy(frame.raw, frame.raw + n, out->raw.begin());
-  std::copy(frame.observed_row, frame.observed_row + n,
-            out->observed_row.begin());
-  std::copy(frame.mode_row, frame.mode_row + n, out->mode_row.begin());
-  std::copy(frame.impacts, frame.impacts + n, out->impacts.begin());
-  std::copy(frame.dists, frame.dists + layout.offsets.back(),
-            out->dists.begin());
+  reals[kT] = frame.t;
+  reals[kScore] = frame.score;
+  reals[kPrior] = frame.prior_log_odds;
+  std::copy_n(frame.raw, n, reals + kRealHeader);
+  std::copy_n(frame.impacts, n, reals + impacts_at(layout));
+  std::copy_n(frame.dists, layout.offsets.back(), reals + dists_at(layout));
   PREPARE_DCHECK(frame.horizon_len <= layout.horizon_steps);
-  out->horizon_len = frame.horizon_len;
   if (frame.horizon_len > 0)
-    std::copy(frame.horizon_probs, frame.horizon_probs + frame.horizon_len,
-              out->horizon_probs.begin());
-  out->valid = true;
+    std::copy_n(frame.horizon_probs, frame.horizon_len,
+                reals + horizon_at(layout));
+  indices[kAbnormal] = frame.abnormal;
+  indices[kRawAlert] = frame.raw_alert;
+  indices[kConfirmed] = frame.confirmed;
+  indices[kDecomposable] = frame.decomposable;
+  indices[kHorizonLen] = frame.horizon_len;
+  std::copy_n(frame.observed_row, n, indices + kIndexHeader);
+  std::copy_n(frame.mode_row, n, indices + kIndexHeader + n);
+}
+
+void FlightRecorder::copy_slot(PerVm* vm, std::size_t from,
+                               std::size_t to) const {
+  std::copy_n(&vm->reals[from * vm->real_stride], vm->real_stride,
+              &vm->reals[to * vm->real_stride]);
+  std::copy_n(&vm->indices[from * vm->index_stride], vm->index_stride,
+              &vm->indices[to * vm->index_stride]);
+}
+
+EvidenceTick FlightRecorder::stored_tick(const PerVm& vm,
+                                         std::size_t slot) const {
+  const EvidenceLayout& layout = vm.layout;
+  const double* reals = &vm.reals[slot * vm.real_stride];
+  const std::size_t* indices = &vm.indices[slot * vm.index_stride];
+  const std::size_t n = layout.attributes;
+  EvidenceTick tick;
+  tick.t = reals[kT];
+  tick.abnormal = indices[kAbnormal] != 0;
+  tick.raw_alert = indices[kRawAlert] != 0;
+  tick.confirmed = indices[kConfirmed] != 0;
+  tick.score = reals[kScore];
+  tick.prior_log_odds = reals[kPrior];
+  tick.decomposable = indices[kDecomposable] != 0;
+  tick.raw.assign(reals + kRealHeader, reals + kRealHeader + n);
+  tick.observed_row.assign(indices + kIndexHeader, indices + kIndexHeader + n);
+  tick.mode_row.assign(indices + kIndexHeader + n,
+                       indices + kIndexHeader + 2 * n);
+  tick.impacts.assign(reals + impacts_at(layout),
+                      reals + impacts_at(layout) + n);
+  tick.dists.assign(reals + dists_at(layout), reals + horizon_at(layout));
+  tick.horizon_probs.assign(reals + horizon_at(layout),
+                            reals + horizon_at(layout) + indices[kHorizonLen]);
+  return tick;
 }
 
 void FlightRecorder::record_tick(std::size_t slot,
                                  const EvidenceFrame& frame) {
   PREPARE_DCHECK(slot < vms_.size());
   PerVm& vm = vms_[slot];
-  copy_frame(frame, vm.layout, &vm.ring[vm.head]);
+  const std::size_t ring_slot = vm.head;
+  copy_frame(frame, &vm, ring_slot);
   vm.head = (vm.head + 1) % config_.ring_ticks;
   if (vm.filled < config_.ring_ticks) ++vm.filled;
   if (vm.filled > ring_high_water_) ring_high_water_ = vm.filled;
   ++ticks_recorded_;
   if (!vm.capture_open) return;
-  if (vm.capture_len < vm.open.ticks.size()) {
-    copy_frame(frame, vm.layout, &vm.open.ticks[vm.capture_len]);
+  if (vm.capture_len < config_.max_bundle_ticks) {
+    copy_slot(&vm, ring_slot, config_.ring_ticks + vm.capture_len);
     ++vm.capture_len;
   } else {
     ++vm.open.truncated_ticks;
@@ -191,11 +271,10 @@ void FlightRecorder::episode_opened(const std::string& vm,
   // runs after the round's record_tick, so there the opening tick is
   // already in the ring and lands in the pre-context instead.
   const std::size_t pre = std::min(per->filled, config_.pre_context_ticks);
-  for (std::size_t j = 0; j < pre; ++j) {
-    const std::size_t idx =
-        (per->head + config_.ring_ticks - pre + j) % config_.ring_ticks;
-    open.ticks[j] = per->ring[idx];
-  }
+  for (std::size_t j = 0; j < pre; ++j)
+    copy_slot(per,
+              (per->head + config_.ring_ticks - pre + j) % config_.ring_ticks,
+              config_.ring_ticks + j);
   open.pre_ticks = pre;
   per->capture_len = pre;
 }
@@ -209,21 +288,17 @@ void FlightRecorder::episode_closed(const std::string& vm, double now,
     ++dropped_;
     return;
   }
-  EpisodeBundle& open = per->open;
-  open.t_close = now;
-  open.outcome = outcome;
-  // Copy every field but the ticks, then only the captured prefix: the
-  // capture is pre-sized to max_bundle_ticks, and `open` keeps that
-  // storage for the next episode. Not a cold path: a run closes up to
-  // max_bundles bundles, and a seed-111 perfbench `observed` run closes
-  // 8,003 over its 240 scenarios.
-  std::vector<EvidenceTick> storage;
-  storage.swap(open.ticks);
-  bundles_.push_back(open);
-  open.ticks.swap(storage);
-  bundles_.back().ticks.assign(
-      open.ticks.begin(),
-      open.ticks.begin() + static_cast<std::ptrdiff_t>(per->capture_len));
+  per->open.t_close = now;
+  per->open.outcome = outcome;
+  // The bundle takes the open episode's fields (episode_opened sets each
+  // of them again) and the captured prefix of the slots. Not a cold
+  // path: a run closes up to max_bundles bundles, and a seed-111
+  // perfbench `observed` run closes 8,003 over its 240 scenarios.
+  bundles_.push_back(std::move(per->open));
+  std::vector<EvidenceTick>& ticks = bundles_.back().ticks;
+  ticks.reserve(per->capture_len);
+  for (std::size_t c = 0; c < per->capture_len; ++c)
+    ticks.push_back(stored_tick(*per, config_.ring_ticks + c));
 }
 
 void FlightRecorder::episode_suppressed(const std::string& vm) {
@@ -292,6 +367,15 @@ void FlightRecorder::write_evidence_jsonl(std::ostream& os,
   const auto impact_keys = numbered_keys("impact", 0, attributes);
   const auto modep_keys = numbered_keys("modep", 0, attributes);
   const auto hp_keys = numbered_keys("hp", 1, horizon_steps);
+  // Back-to-back episodes share their pre-alert context, so a bundle
+  // often repeats, tick for tick, the last ticks of its VM's previous
+  // bundle. A tick record's fields after `phase` depend on the tick
+  // alone, so a repeated tick writes the bytes of its first record
+  // again. Per VM, `previous` keeps the last pre_context_ticks ticks of
+  // the VM's last bundle: a bundle's ring context reaches no further
+  // back.
+  std::vector<std::vector<FormattedTick>> previous(vms_.size());
+  std::vector<FormattedTick> kept;
   for (const auto& bundle : bundles_) {
     const bool decomposable =
         !bundle.ticks.empty() && bundle.ticks.front().decomposable;
@@ -326,6 +410,11 @@ void FlightRecorder::write_evidence_jsonl(std::ostream& os,
       for (std::size_t i = 0; i < bundle.layout.attributes; ++i)
         record.field(attr_keys[i], bundle.layout.attribute_names[i]);
     }
+    std::vector<FormattedTick>& earlier = previous[slots_.at(bundle.vm)];
+    const std::size_t first_kept =
+        bundle.ticks.size() -
+        std::min(bundle.ticks.size(), config_.pre_context_ticks);
+    kept.resize(bundle.ticks.size() - first_kept);
     for (std::size_t s = 0; s < bundle.ticks.size(); ++s) {
       const EvidenceTick& tick = bundle.ticks[s];
       JsonObject record(os);
@@ -336,31 +425,49 @@ void FlightRecorder::write_evidence_jsonl(std::ostream& os,
           .field("vm", bundle.vm)
           .field("seq", static_cast<std::uint64_t>(s))
           .field("t", tick.t)
-          .field("phase", s < bundle.pre_ticks ? "pre" : "episode")
-          .field("abnormal", tick.abnormal ? 1 : 0)
-          .field("raw_alert", tick.raw_alert ? 1 : 0)
-          .field("confirmed", tick.confirmed ? 1 : 0)
-          .field("score", tick.score)
-          .field("prior", tick.prior_log_odds)
-          .field("decomposable", tick.decomposable ? 1 : 0);
-      for (std::size_t i = 0; i < bundle.layout.attributes; ++i) {
-        record.field(raw_keys[i], tick.raw[i]);
-        record.field(bin_keys[i],
-                     static_cast<std::uint64_t>(tick.observed_row[i]));
-        record.field(mode_keys[i],
-                     static_cast<std::uint64_t>(tick.mode_row[i]));
-        record.field(impact_keys[i], tick.impacts[i]);
-        // The look-ahead distribution, compacted to the probability the
-        // classified mode carried (the full distributions stay in the
-        // in-memory bundle for replay).
-        record.field(modep_keys[i],
-                     tick.dists[bundle.layout.offsets[i] + tick.mode_row[i]]);
+          .field("phase", s < bundle.pre_ticks ? "pre" : "episode");
+      const auto same = std::find_if(
+          earlier.begin(), earlier.end(), [&](const FormattedTick& e) {
+            return !e.fields.empty() && same_tick(*e.tick, tick);
+          });
+      std::string_view fields;
+      if (same != earlier.end()) {
+        fields = same->fields;
+        record.append_fields(fields);
+      } else {
+        const std::size_t mark = record.written();
+        record.field("abnormal", tick.abnormal ? 1 : 0)
+            .field("raw_alert", tick.raw_alert ? 1 : 0)
+            .field("confirmed", tick.confirmed ? 1 : 0)
+            .field("score", tick.score)
+            .field("prior", tick.prior_log_odds)
+            .field("decomposable", tick.decomposable ? 1 : 0);
+        for (std::size_t i = 0; i < bundle.layout.attributes; ++i) {
+          record.field(raw_keys[i], tick.raw[i]);
+          record.field(bin_keys[i],
+                       static_cast<std::uint64_t>(tick.observed_row[i]));
+          record.field(mode_keys[i],
+                       static_cast<std::uint64_t>(tick.mode_row[i]));
+          record.field(impact_keys[i], tick.impacts[i]);
+          // The look-ahead distribution, compacted to the probability
+          // the classified mode carried (the full distributions stay in
+          // the in-memory bundle for replay).
+          record.field(
+              modep_keys[i],
+              tick.dists[bundle.layout.offsets[i] + tick.mode_row[i]]);
+        }
+        record.field("horizon_len",
+                     static_cast<std::uint64_t>(tick.horizon_probs.size()));
+        for (std::size_t h = 0; h < tick.horizon_probs.size(); ++h)
+          record.field(hp_keys[h], tick.horizon_probs[h]);
+        fields = record.written_since(mark);
       }
-      record.field("horizon_len",
-                   static_cast<std::uint64_t>(tick.horizon_len));
-      for (std::size_t h = 0; h < tick.horizon_len; ++h)
-        record.field(hp_keys[h], tick.horizon_probs[h]);
+      if (s >= first_kept) {
+        kept[s - first_kept].tick = &tick;
+        kept[s - first_kept].fields.assign(fields);
+      }
     }
+    earlier.swap(kept);
     if (bundle.diagnosis.valid) {
       JsonObject record(os);
       record.field("record", "episode_evidence")

@@ -21,16 +21,25 @@
 // recorder is PREPARE_DRIVER_CONFINED — the controller feeds it from
 // the driver thread in deterministic VM-name order, so every run of
 // one seed produces byte-identical bundles. The steady-state entry
-// point record_tick() is PREPARE_HOT: after register_vm() pre-sizes the
-// ring and the open capture, it only copies into capacity-steady
-// storage — the analyzer proves it allocation-, lock- and IO-free.
+// point record_tick() is PREPARE_HOT: after register_vm() sizes the
+// ring and the open capture, it only copies into that storage — the
+// analyzer proves it allocation-, lock- and IO-free.
 //
-// Memory accounting (defaults): ring_ticks=32 frames/VM, one frame ~
-// 13 raw + 13 bins + 13 modes + 13 impacts + ~65 flattened dist
-// probabilities + 24 horizon slots ~= 1.2 KB, so ~40 KB per VM of ring
-// plus max_bundle_ticks frames per open capture; max_bundles caps the
-// per-run retained total and further episodes count into
-// recorder.dropped_total instead of growing without bound.
+// Memory accounting (defaults): register_vm() makes two blocks per VM,
+// one of doubles and one of integers, cut into ring_ticks (32) ring
+// slots followed by max_bundle_ticks (160) open-capture slots of one
+// fixed stride each, whatever the two counts are. A slot holds t, the
+// score, the prior, 13 raw values, 13 impacts, ~65 flattened
+// distribution probabilities and 24 horizon slots (~0.9 KB), plus the
+// four flags, the horizon length, 13 bins and 13 modes (~0.25 KB), so
+// a VM holds ~225 KB. A close copies only the captured prefix into the
+// bundle's EvidenceTicks; max_bundles caps the per-run retained total
+// and further episodes count into recorder.dropped_total instead of
+// growing without bound. The export formats a tick record's fields
+// once per distinct tick: back-to-back episodes share their pre-alert
+// context, so a bundle often repeats the last ticks of its VM's
+// previous bundle, and their bytes are written again, not formatted
+// again.
 #pragma once
 
 #include <cstddef>
@@ -112,10 +121,10 @@ struct EvidenceFrame {
   std::size_t horizon_len = 0;
 };
 
-/// One stored evidence tick (owning copy of an EvidenceFrame).
+/// One bundled evidence tick (owning copy of an EvidenceFrame), built
+/// when its episode closes.
 struct EvidenceTick {
   double t = 0.0;
-  bool valid = false;  ///< ring slot in use (warm-up / copy guard)
   bool abnormal = false;
   bool raw_alert = false;
   bool confirmed = false;
@@ -127,8 +136,9 @@ struct EvidenceTick {
   std::vector<std::size_t> mode_row;
   std::vector<double> impacts;
   std::vector<double> dists;
-  std::vector<double> horizon_probs;  ///< capacity horizon_steps
-  std::size_t horizon_len = 0;        ///< filled prefix of horizon_probs
+  /// The per-step anomaly probabilities the frame carried: empty when
+  /// the calibration stride did not sample the tick.
+  std::vector<double> horizon_probs;
 };
 
 /// Cause-inference evidence: the ranked attribution the actuator walked.
@@ -197,8 +207,9 @@ class PREPARE_DRIVER_CONFINED FlightRecorder {
   /// episode ticks' window underdetermined).
   void set_decision_config(const DecisionConfig& decision);
 
-  /// Registers one VM and pre-sizes its evidence ring; returns the slot
-  /// index record_tick() takes. Cold (train time, once per VM).
+  /// Registers one VM and sizes its evidence ring and open capture, one
+  /// block of doubles and one of integers; returns the slot index
+  /// record_tick() takes. Cold (train time, once per VM).
   std::size_t register_vm(const std::string& vm, EvidenceLayout layout);
   std::size_t registered_vms() const { return vms_.size(); }
 
@@ -258,25 +269,35 @@ class PREPARE_DRIVER_CONFINED FlightRecorder {
   /// Writes the schema-v4 `episode_evidence` records: one `bundle`
   /// header, one `tick` per captured tick, one `diagnosis`, one
   /// `prevention` per decision input, and one `counterfactual` per
-  /// attached note — per bundle, in flush order.
+  /// attached note — per bundle, in flush order. A tick record that
+  /// repeats, bit for bit, one of the last pre_context_ticks ticks of
+  /// its VM's previous bundle reuses that tick's formatted fields.
   void write_evidence_jsonl(std::ostream& os, const std::string& run_id) const;
 
  private:
   struct PerVm {
     std::string name;
     EvidenceLayout layout;
-    std::vector<EvidenceTick> ring;
+    /// Doubles and integers per stored tick, from the layout.
+    std::size_t real_stride = 0;
+    std::size_t index_stride = 0;
+    /// Slots [0, ring_ticks) are the ring, the rest the open capture;
+    /// slot k starts at k * real_stride and k * index_stride.
+    std::vector<double> reals;
+    std::vector<std::size_t> indices;
     std::size_t head = 0;    ///< next ring slot to write
     std::size_t filled = 0;  ///< valid ring ticks (<= ring_ticks)
     bool capture_open = false;
-    std::size_t capture_len = 0;  ///< filled prefix of open.ticks
+    std::size_t capture_len = 0;  ///< captured ticks (<= max_bundle_ticks)
+    /// The open episode's fields; its ticks are built at the close.
     EpisodeBundle open;
   };
 
-  void size_tick(EvidenceTick* tick, const EvidenceLayout& layout) const;
-  PREPARE_HOT void copy_frame(const EvidenceFrame& frame,
-                              const EvidenceLayout& layout,
-                              EvidenceTick* out) const;
+  PREPARE_HOT void copy_frame(const EvidenceFrame& frame, PerVm* vm,
+                              std::size_t slot) const;
+  PREPARE_HOT void copy_slot(PerVm* vm, std::size_t from,
+                             std::size_t to) const;
+  EvidenceTick stored_tick(const PerVm& vm, std::size_t slot) const;
   PerVm* find_vm(const std::string& vm);
 
   FlightRecorderConfig config_;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/check.h"
+
 namespace prepare {
 namespace obs {
 
@@ -54,6 +56,7 @@ char* write_number(char* first, char* last, double value) {
 
 void JsonObject::flush() {
   os_.write(line_, static_cast<std::streamsize>(len_));
+  flushed_ += len_;
   len_ = 0;
 }
 
@@ -67,6 +70,7 @@ void JsonObject::append(std::string_view bytes) {
     flush();
     if (bytes.size() > kLineBytes) {
       os_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      flushed_ += bytes.size();
       return;
     }
   }
@@ -120,6 +124,18 @@ JsonObject& JsonObject::field(std::string_view key, int value) {
   make_room(kNumberBytes);
   const char* end = std::to_chars(line_ + len_, line_ + kLineBytes, value).ptr;
   len_ = static_cast<std::size_t>(end - line_);
+  return *this;
+}
+
+std::string_view JsonObject::written_since(std::size_t mark) const {
+  PREPARE_DCHECK(mark <= written());
+  if (mark < flushed_) return {};
+  return std::string_view(line_ + (mark - flushed_), written() - mark);
+}
+
+JsonObject& JsonObject::append_fields(std::string_view fields) {
+  PREPARE_DCHECK(!first_) << "appended fields must follow a first field";
+  append(fields);
   return *this;
 }
 

@@ -13,7 +13,10 @@
 // double prints exactly as printf's "%.17g" in the C locale, whatever
 // the process locale is, and round-trips. JSON has no NaN/Inf literals,
 // so a non-finite double is written as null (the schema checker treats
-// null as "unavailable").
+// null as "unavailable"). A writer that emits the same run of fields on
+// many lines reads their bytes back from the buffer once
+// (written_since()) and appends them again (append_fields()), so every
+// byte still comes from the one formatter here.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +45,27 @@ class JsonObject {
   JsonObject& field(std::string_view key, std::uint64_t value);
   JsonObject& field(std::string_view key, int value);
 
+  /// Bytes written to this line so far, flushed or not: a mark for
+  /// written_since().
+  std::size_t written() const { return flushed_ + len_; }
+  /// The bytes written since `mark`, or an empty view when some of them
+  /// already reached the stream (a line longer than the buffer). Valid
+  /// until the next write to this object.
+  std::string_view written_since(std::size_t mark) const;
+  /// Appends `fields`, bytes that field() calls wrote after the first
+  /// field of an earlier line (read back by written_since()): this line
+  /// gets the bytes those calls would write again. At least one field
+  /// must precede them, since they start with the separator.
+  JsonObject& append_fields(std::string_view fields);
+
   /// Writes the line. Idempotent; further field() calls are invalid.
   void close();
 
  private:
-  /// Holds every record the exporters write today (the longest, an
-  /// evidence tick record, is at most ~2.4 KB).
+  /// Holds every record the exporters write for the 13 attributes of a
+  /// VM (the longest, an evidence tick record, is at most ~2.4 KB); a
+  /// wider evidence layout makes longer lines, which reach the stream in
+  /// several writes and cannot be read back whole.
   static constexpr std::size_t kLineBytes = 4096;
   /// Room kept for one number: "%.17g" of a double takes at most 24
   /// bytes, an integer at most 20.
@@ -65,6 +83,7 @@ class JsonObject {
   std::ostream& os_;
   bool closed_ = false;
   bool first_ = true;
+  std::size_t flushed_ = 0;  ///< bytes of this line already in the stream
   std::size_t len_ = 0;  ///< filled prefix of line_, the only part read
   char line_[kLineBytes];
 };

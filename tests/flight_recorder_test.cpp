@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,7 +162,7 @@ TEST(FlightRecorder, CapturedTickIsAFaithfulDeepCopy) {
   EXPECT_EQ(tick.mode_row[0], (7u + 2) % 3);
   ASSERT_EQ(tick.dists.size(), 6u);
   EXPECT_EQ(tick.dists[5], 12.0);
-  ASSERT_EQ(tick.horizon_len, 2u);
+  ASSERT_EQ(tick.horizon_probs.size(), 2u);
   EXPECT_EQ(tick.horizon_probs[0], 0.07);
 }
 
@@ -218,7 +219,7 @@ TEST(FlightRecorder, EpisodeLongerThanRingIsFullyCapturedUpToCap) {
     EXPECT_EQ(first.ticks[s].t, t);
     EXPECT_EQ(first.ticks[s].raw[1], want.raw[1]);
     EXPECT_EQ(first.ticks[s].dists[5], want.dists[5]);
-    EXPECT_EQ(first.ticks[s].horizon_len, 2u);
+    EXPECT_EQ(first.ticks[s].horizon_probs.size(), 2u);
   }
   EXPECT_EQ(first.truncated_ticks, 2u);
 }
@@ -376,6 +377,152 @@ TEST(FlightRecorder, EvidenceJsonlIsWellFormedAndLinked) {
         << line;
   }
   EXPECT_EQ(lines, 2u);  // one bundle header + one tick
+}
+
+// The lines of `recorder`'s evidence JSONL that carry `trace_id`.
+std::vector<std::string> evidence_lines(const FlightRecorder& recorder,
+                                        const std::string& trace_id) {
+  std::ostringstream os;
+  recorder.write_evidence_jsonl(os, "test-run");
+  std::istringstream is(os.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);)
+    if (line.find("\"trace_id\":\"" + trace_id + "\"") != std::string::npos)
+      lines.push_back(line);
+  return lines;
+}
+
+// Back-to-back episodes: the second bundle's pre-context (t=2..4) is
+// the tail of the first bundle (t=1..4). Its tick records must be the
+// bytes a recorder writes that captured the second episode alone.
+TEST(FlightRecorder, SharedPreContextExportsTheSameTickRecords) {
+  const auto run = [](bool first_episode) {
+    FlightRecorder recorder(nullptr, small_config());
+    recorder.set_decision_config(small_decision());
+    const auto slot = recorder.register_vm("vm-1", tiny_layout());
+    for (double t = 0.0; t < 4.0; t += 1.0) {
+      FrameData data(t);
+      recorder.record_tick(slot, data.frame);
+    }
+    if (first_episode) recorder.episode_opened("vm-1", "vm-1#1", 4.0);
+    FrameData d4(4.0, /*raw_alert=*/true);
+    recorder.record_tick(slot, d4.frame);
+    if (first_episode) recorder.episode_closed("vm-1", 4.0, "prevented");
+    recorder.episode_opened("vm-1", "vm-1#2", 5.0);
+    FrameData d5(5.0, /*raw_alert=*/true);
+    recorder.record_tick(slot, d5.frame);
+    recorder.episode_closed("vm-1", 5.0, "prevented");
+    return evidence_lines(recorder, "vm-1#2");
+  };
+  const std::vector<std::string> shared = run(true);
+  ASSERT_EQ(shared.size(), 5u);  // bundle header + t=2, 3, 4, 5
+  EXPECT_EQ(shared, run(false));
+}
+
+// Two different frames recorded at one t are two ticks: each exports its
+// own values, even where the first repeats the previous bundle's tick.
+TEST(FlightRecorder, TwoFramesAtOneTimeExportTheirOwnValues) {
+  const auto run = [](bool first_episode) {
+    FlightRecorder recorder(nullptr, small_config());
+    recorder.set_decision_config(small_decision());
+    const auto slot = recorder.register_vm("vm-1", tiny_layout());
+    for (double t = 0.0; t < 3.0; t += 1.0) {
+      FrameData data(t);
+      recorder.record_tick(slot, data.frame);
+    }
+    if (first_episode) recorder.episode_opened("vm-1", "vm-1#1", 3.0);
+    FrameData d3(3.0, /*raw_alert=*/true);
+    recorder.record_tick(slot, d3.frame);
+    if (first_episode) recorder.episode_closed("vm-1", 3.0, "prevented");
+    FrameData again(3.0, /*raw_alert=*/true);
+    again.raw[0] = 99.0;
+    recorder.record_tick(slot, again.frame);
+    recorder.episode_opened("vm-1", "vm-1#2", 4.0);
+    FrameData d4(4.0, /*raw_alert=*/true);
+    recorder.record_tick(slot, d4.frame);
+    recorder.episode_closed("vm-1", 4.0, "prevented");
+    return evidence_lines(recorder, "vm-1#2");
+  };
+  const std::vector<std::string> lines = run(true);
+  ASSERT_EQ(lines.size(), 5u);  // bundle header + t=2, 3, 3, 4
+  EXPECT_NE(lines[2].find("\"t\":3,"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("\"raw0\":3,"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[3].find("\"t\":3,"), std::string::npos) << lines[3];
+  EXPECT_NE(lines[3].find("\"raw0\":99,"), std::string::npos) << lines[3];
+  EXPECT_EQ(lines, run(false));
+}
+
+// 64 attributes of 3 bins: a tick record is longer than JsonObject's
+// 4 KB line buffer, so its fields cannot be read back from it. A first
+// tick and a repeated one must still export whole.
+TEST(FlightRecorder, TickRecordsLongerThanTheLineBufferExportWhole) {
+  constexpr std::size_t kAttributes = 64;
+  EvidenceLayout layout;
+  layout.attributes = kAttributes;
+  for (std::size_t i = 0; i <= kAttributes; ++i) layout.offsets.push_back(3 * i);
+  for (std::size_t i = 0; i < kAttributes; ++i)
+    layout.attribute_names.push_back("attr_" + std::to_string(i));
+  layout.horizon_steps = 2;
+  struct WideFrame {
+    std::vector<double> raw, impacts, dists, horizon;
+    std::vector<std::size_t> observed, mode;
+    EvidenceFrame frame;
+    explicit WideFrame(double t) {
+      for (std::size_t i = 0; i < kAttributes; ++i) {
+        raw.push_back(t + static_cast<double>(i) / 7.0);
+        impacts.push_back((t - static_cast<double>(i)) / 3.0);
+        observed.push_back(i % 3);
+        mode.push_back((i + 1) % 3);
+        for (std::size_t b = 0; b < 3; ++b)
+          dists.push_back((t + static_cast<double>(b + 1)) / 11.0);
+      }
+      horizon = {t / 13.0, t / 17.0};
+      frame.t = t;
+      frame.score = t / 9.0;
+      frame.raw = raw.data();
+      frame.observed_row = observed.data();
+      frame.mode_row = mode.data();
+      frame.impacts = impacts.data();
+      frame.dists = dists.data();
+      frame.horizon_probs = horizon.data();
+      frame.horizon_len = horizon.size();
+    }
+  };
+  const auto run = [&layout](bool first_episode) {
+    FlightRecorder recorder(nullptr, small_config());
+    recorder.set_decision_config(small_decision());
+    const auto slot = recorder.register_vm("vm-1", layout);
+    for (double t = 0.0; t < 4.0; t += 1.0) {
+      WideFrame data(t);
+      recorder.record_tick(slot, data.frame);
+    }
+    if (first_episode) recorder.episode_opened("vm-1", "vm-1#1", 4.0);
+    WideFrame d4(4.0);
+    recorder.record_tick(slot, d4.frame);
+    if (first_episode) recorder.episode_closed("vm-1", 4.0, "prevented");
+    recorder.episode_opened("vm-1", "vm-1#2", 5.0);
+    WideFrame d5(5.0);
+    recorder.record_tick(slot, d5.frame);
+    recorder.episode_closed("vm-1", 5.0, "prevented");
+    return std::make_pair(evidence_lines(recorder, "vm-1#1"),
+                          evidence_lines(recorder, "vm-1#2"));
+  };
+  const auto [first, second] = run(true);
+  ASSERT_EQ(first.size(), 5u);   // bundle header + t=1..4
+  ASSERT_EQ(second.size(), 5u);  // bundle header + t=2..5, t=2..4 repeated
+  // The first bundle's t=4 record, and its repeat in the second bundle.
+  for (const std::string* line : {&first[4], &second[3]}) {
+    EXPECT_GT(line->size(), 4096u);
+    EXPECT_EQ(line->front(), '{');
+    EXPECT_EQ(line->back(), '}');
+    EXPECT_NE(line->find("\"t\":4,"), std::string::npos);
+    for (std::size_t i = 0; i < kAttributes; ++i)
+      EXPECT_NE(line->find("\"raw" + std::to_string(i) + "\":"),
+                std::string::npos)
+          << "raw" << i;
+    EXPECT_NE(line->find("\"hp2\":"), std::string::npos);
+  }
+  EXPECT_EQ(second, run(false).second);
 }
 
 TEST(FlightRecorder, UnknownVmHooksAreIgnored) {

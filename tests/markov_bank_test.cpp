@@ -599,7 +599,8 @@ void expect_same_stats(const MarkovBank::RowStats& got,
 // only the rows that changed since its last call; the result equals the
 // reference bit for bit after training, after every learning observe(),
 // and after a retrain whose rows keep their count totals but not their
-// counts.
+// counts. An observe() that does not learn moves no count total, so it
+// leaves the statistics as they were.
 TEST(MarkovBank, RowStatsMatchRecomputation) {
   const std::vector<std::size_t> alphabets = {3, 5, 4};
   for (std::size_t order : {1u, 2u, 3u}) {
@@ -625,6 +626,18 @@ TEST(MarkovBank, RowStatsMatchRecomputation) {
                           "order " + std::to_string(order) + " row " +
                               std::to_string(t) + " attribute " +
                               std::to_string(a));
+    }
+    std::vector<MarkovBank::RowStats> learned;
+    for (std::size_t a = 0; a < alphabets.size(); ++a)
+      learned.push_back(bank.row_stats(a));
+    for (std::size_t t = 0; t < 5; ++t) {
+      bank.observe({runtime[0][t], runtime[1][t], runtime[2][t]},
+                   /*learn=*/false);
+      for (std::size_t a = 0; a < alphabets.size(); ++a)
+        expect_same_stats(bank.row_stats(a), learned[a],
+                          "order " + std::to_string(order) +
+                              " unlearned row " + std::to_string(t) +
+                              " attribute " + std::to_string(a));
     }
   }
   // Order 1, two symbols: 0 0 1 1 0 counts 0->0, 0->1, 1->1, 1->0 and
