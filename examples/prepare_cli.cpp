@@ -447,6 +447,12 @@ int main(int argc, char** argv) {
     if (introspect) introspect->write_introspection_jsonl(os, run_id);
     if (recorder) recorder->write_evidence_jsonl(os, run_id);
     obs::write_metrics_jsonl(os, registry, run_id, config.run_end);
+    // A full disk or a closed pipe shows only once the buffer is flushed.
+    os.flush();
+    if (!os) {
+      std::fprintf(stderr, "cannot write %s\n", obs_out->c_str());
+      return 1;
+    }
     std::printf("structured trace written to %s (run_id %s)\n",
                 obs_out->c_str(), run_id.c_str());
   }

@@ -86,23 +86,68 @@ std::string printf_precision17(double value) {
   return buf;
 }
 
+/// Compares JsonObject's text of each checked value with "%.17g" (null
+/// for a non-finite one). The values are written as the fields of
+/// shared lines, a batch at a time, so a sweep of millions stays cheap.
+class NumberChecker {
+ public:
+  void check(double v) {
+    batch_.push_back(v);
+    if (batch_.size() == kBatch) drain();
+  }
+  /// Mismatches of every value checked; the first ten are reported as
+  /// failures.
+  int mismatches() {
+    drain();
+    return mismatches_;
+  }
+
+ private:
+  static constexpr std::size_t kBatch = 256;
+
+  void drain() {
+    if (batch_.empty()) return;
+    os_.str("");
+    {
+      JsonObject line(os_);
+      for (const double v : batch_) line.field("k", v);
+    }
+    const std::string text = os_.str();
+    std::size_t pos = 0;
+    for (const double v : batch_) {
+      // Each field is ["{" or ","] "\"k\":" <number>.
+      pos += 5;
+      const std::size_t end = text.find_first_of(",}", pos);
+      const std::string_view got(text.data() + pos, end - pos);
+      pos = end;
+      char want[40] = "null";
+      if (std::isfinite(v)) std::snprintf(want, sizeof want, "%.17g", v);
+      if (got != want && ++mismatches_ <= 10)
+        ADD_FAILURE() << "bits 0x" << std::hex
+                      << std::bit_cast<std::uint64_t>(v) << ": " << got
+                      << " != " << want;
+    }
+    batch_.clear();
+  }
+
+  std::vector<double> batch_;
+  std::ostringstream os_;
+  int mismatches_ = 0;
+};
+
 TEST(Json, NumberMatchesPrintfPrecision17) {
   using Limits = std::numeric_limits<double>;
-  int mismatches = 0;
-  const auto check = [&mismatches](double v) {
-    const std::string want =
-        std::isfinite(v) ? printf_precision17(v) : "null";
-    const std::string got = value_text(v);
-    if (got == want) return;
-    if (++mismatches <= 10)
-      ADD_FAILURE() << "bits 0x" << std::hex
-                    << std::bit_cast<std::uint64_t>(v) << ": " << got
-                    << " != " << want;
-  };
+  NumberChecker checker;
+  const auto check = [&checker](double v) { checker.check(v); };
   for (const double v : {0.0, Limits::denorm_min(), Limits::min(),
                          Limits::max()}) {
     check(v);
     check(-v);
+  }
+  // Subnormals go to std::to_chars: every magnitude from 2^-1074 up.
+  for (std::uint64_t bits = 1; bits < (std::uint64_t{1} << 52); bits *= 3) {
+    check(std::bit_cast<double>(bits));
+    check(-std::bit_cast<double>(bits));
   }
   // Every decade a double reaches, and past both ends (underflow to
   // zero, overflow to inf), at mantissas that stress the rounding.
@@ -136,7 +181,64 @@ TEST(Json, NumberMatchesPrintfPrecision17) {
     check(v);
     ++random_checked;
   }
-  EXPECT_EQ(mismatches, 0);
+
+  // The writer's integer path takes 2^-53 <= |x| < 2^57; the random bit
+  // patterns above land there only ~5% of the time. 10M doubles spread
+  // log-uniformly over [1e-17, 1e18): a uniform binade and sign, random
+  // mantissa bits.
+  int spread_checked = 0;
+  while (spread_checked < 10'000'000) {
+    const std::uint64_t draw = rng.engine()();
+    const auto biased =
+        static_cast<std::uint64_t>(rng.uniform_int(-57, 59) + 1023);
+    const double v = std::bit_cast<double>(
+        (draw & ((std::uint64_t{1} << 52) - 1)) | (biased << 52) |
+        (draw & (std::uint64_t{1} << 63)));
+    if (std::abs(v) < 1e-17 || std::abs(v) >= 1e18) continue;
+    check(v);
+    ++spread_checked;
+  }
+  // Exact ties: x = j * 2^(e - 17) with j odd and 10^e <= x < 10^(e+1)
+  // makes x * 10^(16 - e) = j * 5^(16 - e) / 2 end in exactly one half,
+  // so the 17th digit rounds to even. Such j < 2^53 exist for e in
+  // -8..15 (at -8 only j = 1 and 3). Their neighbours one ulp away lie
+  // on either side of it.
+  for (int e = -8; e <= 15; ++e) {
+    const double lo = std::ceil(std::ldexp(std::pow(10.0, e), 17 - e));
+    const double hi = std::min(std::ldexp(std::pow(10.0, e + 1), 17 - e),
+                               std::ldexp(1.0, 53));
+    for (int i = 0; i < 2000; ++i) {
+      const double j =
+          std::floor(rng.uniform(lo, hi) / 2.0) * 2.0 + 1.0;  // odd
+      if (j < lo || j >= hi) continue;
+      const double tie = std::ldexp(j, e - 17);
+      for (const double v : {tie, std::nextafter(tie, 0.0),
+                             std::nextafter(tie, Limits::infinity())}) {
+        check(v);
+        check(-v);
+      }
+    }
+  }
+  // Every power of ten a double reaches, and its neighbours one ulp
+  // away, inside the integer path's range and beyond it.
+  for (int e = -323; e <= 308; ++e) {
+    const std::string text = "1e" + std::to_string(e);
+    const double v = std::strtod(text.c_str(), nullptr);
+    for (const double w : {v, std::nextafter(v, 0.0),
+                           std::nextafter(v, Limits::infinity())}) {
+      check(w);
+      check(-w);
+    }
+  }
+  // Integers up to 2^57, where doubles stop being odd past 2^53 and the
+  // fixed notation reaches 17 digits.
+  for (int i = 0; i < 200'000; ++i) {
+    const int bits = static_cast<int>(rng.uniform_int(1, 57));
+    const std::uint64_t n = rng.engine()() >> (64 - bits);
+    check(static_cast<double>(n));
+    check(-static_cast<double>(n));
+  }
+  EXPECT_EQ(checker.mismatches(), 0);
 }
 
 /// The JSON escaper as it was first written (snprintf for control

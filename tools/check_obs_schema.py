@@ -83,6 +83,13 @@ bin counters (model.calibration.reliability.bin<b>.n/.hits).
 episode_evidence bundle and the recorder.bundles_total /
 recorder.dropped_total counters.
 
+Always checked, with no flag: every number written with a fraction or
+an exponent is its value's "%.17g", the text src/obs/json.cpp writes
+for every double (printf's format in the C locale; Python's % operator
+gives the same text). A shortest form such as 0.1 for the double
+0.10000000000000001 is rejected, so a writer that stops keeping that
+contract shows here.
+
 Exits 0 when valid, 1 with one "FILE:line: message" per violation.
 """
 
@@ -177,6 +184,15 @@ EVIDENCE_APPLIED = {"none", "scale", "migrate"}
 EVIDENCE_METRIC_KINDS = {"cpu", "memory", "other"}
 # The monitoring vector is fixed (monitor/attributes.h).
 ATTRIBUTE_COUNT = 13
+
+
+def parse_precision17(token: str, mismatches: list[str]) -> float:
+    """json.loads' parse_float: the token's value, noting in
+    `mismatches` a token that is not that value's "%.17g"."""
+    value = float(token)
+    if "%.17g" % value != token:
+        mismatches.append(token)
+    return value
 
 
 def check_record(obj: dict, lineno: int, errors: list[str],
@@ -489,11 +505,17 @@ def validate(path: Path, require_stages: bool, require_outcomes: bool,
     if not lines:
         return ["1: empty trace (expected a run header)"]
     for lineno, line in enumerate(lines, start=1):
+        not_precision17: list[str] = []
         try:
-            obj = json.loads(line)
+            obj = json.loads(
+                line, parse_float=lambda token: parse_precision17(
+                    token, not_precision17))
         except json.JSONDecodeError as e:
             errors.append(f"{lineno}: invalid JSON: {e}")
             continue
+        for token in not_precision17:
+            errors.append(f"{lineno}: number {token} is not its value's "
+                          f"%.17g ({'%.17g' % float(token)})")
         if not isinstance(obj, dict):
             errors.append(f"{lineno}: expected a JSON object")
             continue
