@@ -16,6 +16,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -413,14 +414,24 @@ int main(int argc, char** argv) {
     report.title = std::string(app_kind_name(config.app)) + " / " +
                    fault_kind_name(config.fault) + " / " +
                    scheme_name(config.scheme);
-    write_html_report(report, *report_path);
+    try {
+      write_html_report(report, *report_path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 1;
+    }
     std::printf("report written to %s\n", report_path->c_str());
   }
   if (export_prefix) {
     const std::string metrics = *export_prefix + "_metrics.csv";
     const std::string slo = *export_prefix + "_slo.csv";
-    save_metric_store_csv(last.store, metrics);
-    save_slo_log_csv(last.slo, slo);
+    try {
+      save_metric_store_csv(last.store, metrics);
+      save_slo_log_csv(last.slo, slo);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 1;
+    }
     std::printf("exported %s and %s\n", metrics.c_str(), slo.c_str());
   }
   if (obs_out) {

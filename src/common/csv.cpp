@@ -10,7 +10,7 @@ namespace prepare {
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
     : path_(path), columns_(header.size()), out_(path) {
-  if (!out_) throw std::runtime_error("cannot open csv file: " + path);
+  if (!out_) throw std::runtime_error("cannot open " + path + " for writing");
   PREPARE_CHECK(!header.empty());
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (i) out_ << ",";
@@ -35,6 +35,11 @@ void CsvWriter::row(const std::vector<std::string>& values) {
     out_ << values[i];
   }
   out_ << "\n";
+}
+
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error("cannot write " + path_);
 }
 
 std::string format_number(double value) {

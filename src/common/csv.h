@@ -11,12 +11,19 @@ namespace prepare {
 class CsvWriter {
  public:
   /// Opens `path` for writing and emits the header row. Throws
-  /// std::runtime_error if the file cannot be opened.
+  /// std::runtime_error ("cannot open PATH for writing") if the file
+  /// cannot be opened.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   /// Writes one row; the column count must match the header.
   void row(const std::vector<double>& values);
   void row(const std::vector<std::string>& values);
+
+  /// Flushes and closes the file. Throws std::runtime_error ("cannot
+  /// write PATH") if any write or the flush failed. The destructor
+  /// closes without checking, so a writer whose data must land calls
+  /// this.
+  void close();
 
   const std::string& path() const { return path_; }
 

@@ -32,6 +32,7 @@ void save_metric_store_csv(const MetricStore& store,
       csv.row(row);
     }
   }
+  csv.close();
 }
 
 MetricStore load_metric_store_csv(const std::string& path) {
@@ -65,6 +66,7 @@ void save_slo_log_csv(const SloLog& slo, const std::string& path) {
         format_number(t), format_number(dt),
         slo.violated_at(t) ? "1" : "0", format_number(trace.at(i).value)});
   }
+  csv.close();
 }
 
 SloLog load_slo_log_csv(const std::string& path) {

@@ -16,7 +16,8 @@
 namespace prepare {
 
 /// Writes every VM's samples, interleaved by time (grouped per VM per
-/// timestamp). Throws std::runtime_error if the file cannot be opened.
+/// timestamp). Throws std::runtime_error if the file cannot be opened or
+/// written (CsvWriter's messages).
 void save_metric_store_csv(const MetricStore& store,
                            const std::string& path);
 
@@ -25,6 +26,7 @@ void save_metric_store_csv(const MetricStore& store,
 MetricStore load_metric_store_csv(const std::string& path);
 
 /// Writes the per-tick SLO record (violated flag + headline metric).
+/// Throws std::runtime_error as save_metric_store_csv does.
 void save_slo_log_csv(const SloLog& slo, const std::string& path);
 
 /// Loads an SLO log written by save_slo_log_csv.

@@ -186,8 +186,11 @@ std::string render_html_report(const ReportInput& input) {
 
 void write_html_report(const ReportInput& input, const std::string& path) {
   std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open report file: " + path);
+  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
   out << render_html_report(input);
+  // A full disk or a closed pipe shows only once the buffer is flushed.
+  out.flush();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace prepare

@@ -23,7 +23,9 @@ struct ReportInput {
 /// Renders the report as a single HTML document.
 std::string render_html_report(const ReportInput& input);
 
-/// Renders and writes to `path`; throws std::runtime_error on I/O error.
+/// Renders and writes to `path`. Throws std::runtime_error, with the
+/// message "cannot open PATH for writing" or "cannot write PATH", when
+/// the file cannot be opened or the written report cannot be flushed.
 void write_html_report(const ReportInput& input, const std::string& path);
 
 }  // namespace prepare

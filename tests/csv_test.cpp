@@ -1,6 +1,7 @@
 #include "common/csv.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -47,6 +48,23 @@ TEST_F(CsvTest, RejectsEmptyHeader) {
 TEST_F(CsvTest, UnwritablePathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}),
                std::runtime_error);
+}
+
+TEST_F(CsvTest, CloseFlushesTheRows) {
+  CsvWriter w(path_, {"a", "b"});
+  w.row(std::vector<double>{1.0, 2.5});
+  EXPECT_NO_THROW(w.close());
+  EXPECT_EQ(read_file(path_), "a,b\n1,2.5\n");
+}
+
+TEST(CsvWriter, CloseThrowsWhenTheWriteFails) {
+  // Every write to /dev/full fails with ENOSPC; the rows sit in the
+  // stream's buffer until close() flushes them.
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "/dev/full is absent";
+  CsvWriter w("/dev/full", {"a", "b"});
+  w.row(std::vector<double>{1.0, 2.5});
+  EXPECT_THROW(w.close(), std::runtime_error);
 }
 
 TEST(FormatNumber, DropsTrailingZeros) {

@@ -4,9 +4,15 @@
 Enforced rules (each maps to a real bug class we care about):
 
   R1  no-raw-rand      rand()/srand()/std::rand()/time(NULL)-style seeding
-                       outside src/common/rng.h. Every stochastic draw must
-                       go through prepare::Rng so runs stay reproducible
-                       from their seed.
+                       outside src/common/rng.h, and std's engines and
+                       distributions (std::mt19937, std::mt19937_64,
+                       std::random_device, std::default_random_engine,
+                       std::generate_canonical, std::*_distribution)
+                       outside src/common/rng.h and tests/rng_test.cpp.
+                       Every stochastic draw must go through prepare::Rng
+                       so runs stay reproducible from their seed; Rng
+                       reproduces the std types' bits, and rng_test keeps
+                       them as its reference. The default scope is src.
   R2  no-using-std     `using namespace std;` in a header leaks into every
                        includer; banned in .h files.
   R3  own-header-first every src/**/foo.cpp whose sibling foo.h exists must
@@ -50,6 +56,12 @@ DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)")
 COMMENT_LINE_RE = re.compile(r"^\s*(//|\*|/\*)")
 
 RAW_RAND_ALLOWED_SUFFIX = "src/common/rng.h"
+STD_RAND_RE = re.compile(
+    r"\bstd::(?:mt19937(?:_64)?|random_device|default_random_engine"
+    r"|generate_canonical|\w+_distribution)\b"
+)
+STD_RAND_ALLOWED_SUFFIXES = (RAW_RAND_ALLOWED_SUFFIX, "tests/rng_test.cpp")
+FIXTURE_DIRS = {"analyze_fixtures", "invariants_fixtures"}
 
 THREAD_DETACH_RE = re.compile(r"\.\s*detach\s*\(")
 SLEEP_SYNC_RE = re.compile(r"\bsleep_(?:for|until)\s*\(")
@@ -117,6 +129,13 @@ def check_file(path: Path) -> list[tuple[Path, int, str, str]]:
                 (rel, lineno, "no-raw-rand",
                  "raw rand()/time(NULL)-style call; draw from "
                  "prepare::Rng (src/common/rng.h) instead"))
+
+        if (not str(path).endswith(STD_RAND_ALLOWED_SUFFIXES)
+                and (m := STD_RAND_RE.search(code))):
+            findings.append(
+                (rel, lineno, "no-raw-rand",
+                 f"direct {m.group(0)}; draw from prepare::Rng "
+                 "(src/common/rng.h), which reproduces its bits"))
 
         if path.suffix == ".h" and USING_STD_RE.match(code):
             findings.append(
@@ -187,12 +206,12 @@ def main(argv: list[str]) -> int:
         if root.is_file():
             files.append(root)
         else:
-            files.extend(sorted(root.rglob("*.h")))
-            files.extend(sorted(root.rglob("*.cpp")))
-    # tests/analyze_fixtures holds deliberately-bad inputs for
-    # prepare_analyze.py's self-test; linting them defeats the point.
-    files = [f for f in files
-             if "analyze_fixtures" not in f.as_posix().split("/")]
+            walked = sorted(root.rglob("*.h")) + sorted(root.rglob("*.cpp"))
+            # The fixture directories hold deliberately-bad inputs for
+            # prepare_analyze.py's and this script's self-tests; a sweep
+            # skips them, a file named on the command line is checked.
+            files.extend(f for f in walked
+                         if FIXTURE_DIRS.isdisjoint(f.parts))
 
     all_findings = []
     for f in files:

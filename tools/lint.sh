@@ -124,11 +124,13 @@ else
   fi
 fi
 
-# analyze_fixtures hold deliberate rule violations for the analyzer's
-# self-test (and are not in the compile database): keep them out of the
-# generic sweeps — prepare_analyze.py --fixtures covers them.
+# analyze_fixtures and invariants_fixtures hold deliberate rule
+# violations for the analyzer's and check_invariants.py's self-tests (and
+# are not in the compile database): keep them out of the generic sweeps
+# — prepare_analyze.py --fixtures and check_invariants_test cover them.
 mapfile -t cpp_files < <(find "${PATHS[@]}" -name '*.cpp' \
-    -not -path '*/analyze_fixtures/*' | sort)
+    -not -path '*/analyze_fixtures/*' \
+    -not -path '*/invariants_fixtures/*' | sort)
 
 if skip_pass thread-safety; then
   echo "== thread-safety skipped (PREPARE_LINT_SKIP)"
