@@ -208,10 +208,29 @@ int main(int argc, char** argv) {
   }
 
   if (replay_prefix) {
-    const auto store =
-        load_metric_store_csv(*replay_prefix + "_metrics.csv");
-    const auto slo = load_slo_log_csv(*replay_prefix + "_slo.csv");
-    const auto report = replay_trace(store, slo, ReplayConfig{});
+    const std::string metrics = *replay_prefix + "_metrics.csv";
+    const std::string slo_path = *replay_prefix + "_slo.csv";
+    MetricStore store;
+    SloLog slo;
+    // Loading throws std::runtime_error (open, read, number) or
+    // CheckFailure (columns, row width, rejected samples).
+    const char* reading = metrics.c_str();
+    try {
+      store = load_metric_store_csv(metrics);
+      reading = slo_path.c_str();
+      slo = load_slo_log_csv(slo_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot read %s: %s\n", reading, e.what());
+      return 1;
+    }
+    ReplayReport report;
+    try {
+      report = replay_trace(store, slo, ReplayConfig{});
+    } catch (const CheckFailure& e) {
+      std::fprintf(stderr, "cannot replay %s: %s\n", replay_prefix->c_str(),
+                   e.what());
+      return 1;
+    }
     std::printf("replay of %s: %zu raw alerts, %zu confirmed\n",
                 replay_prefix->c_str(), report.raw_alerts,
                 report.confirmed_alerts);

@@ -39,10 +39,15 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
       1.0, std::round(lookahead_s / config.sampling_interval_s)));
 
   // All VMs are sampled by the same loop, so their sample indices align.
-  const std::size_t total = store.sample_count(vm_names[0]);
-  for (const auto& vm : vm_names)
-    PREPARE_CHECK_MSG(store.sample_count(vm) == total,
-                      "unaligned sample histories");
+  std::vector<const MetricStore::History*> histories;
+  for (const auto& vm : vm_names) {
+    histories.push_back(store.history(vm));
+    PREPARE_CHECK_MSG(histories.back() != nullptr, "unknown VM: " + vm);
+  }
+  const std::vector<double>& times = histories[0]->times;
+  const std::size_t total = times.size();
+  for (const MetricStore::History* h : histories)
+    PREPARE_CHECK_MSG(h->size() == total, "unaligned sample histories");
   PREPARE_CHECK_MSG(total >= steps + 2, "trace too short");
 
   // Assemble aligned rows: per VM, or concatenated for the monolithic
@@ -58,11 +63,11 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
   auto row_for = [&](std::size_t model, std::size_t index) {
     std::vector<double> row;
     if (config.per_component) {
-      const auto v = store.sample(vm_names[model], index);
+      const AttributeVector& v = histories[model]->rows[index];
       row.assign(v.begin(), v.end());
     } else {
-      for (const auto& vm : vm_names) {
-        const auto v = store.sample(vm, index);
+      for (const MetricStore::History* h : histories) {
+        const AttributeVector& v = h->rows[index];
         row.insert(row.end(), v.begin(), v.end());
       }
     }
@@ -74,7 +79,7 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
     std::vector<std::vector<double>> columns(predictors[m].feature_count());
     std::vector<bool> abnormal;
     for (std::size_t i = 0; i < total; ++i) {
-      const double t = store.sample_time(vm_names[0], i);
+      const double t = times[i];
       if (t > config.train_end) break;
       const std::vector<double> row = row_for(m, i);
       for (std::size_t f = 0; f < row.size(); ++f) columns[f].push_back(row[f]);
@@ -89,7 +94,7 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
   AccuracyResult result;
   AlarmFilter filter(config.filter_k, config.filter_w);
   for (std::size_t i = 0; i < total; ++i) {
-    const double t = store.sample_time(vm_names[0], i);
+    const double t = times[i];
     if (t <= config.train_end) continue;
     for (std::size_t m = 0; m < models; ++m)
       predictors[m].observe(row_for(m, i));
@@ -110,7 +115,7 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
       }
     }
     const bool predicted = filter.push(raw_alert);
-    const double horizon = store.sample_time(vm_names[0], i + steps);
+    const double horizon = times[i + steps];
     const bool truth = slo.violated_at(horizon);
     if (config.keep_predictions)
       result.samples.push_back({t, predicted, truth});

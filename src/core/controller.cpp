@@ -186,9 +186,8 @@ void PrepareController::on_sample(double now) {
   if (predict_ || ctx_.slo->currently_violated()) {
     for (const std::size_t i : app_order_) {
       VmEntry& vm = vms_[i];
-      const std::optional<AttributeVector> sample =
-          ctx_.store->latest_sample(vm.name);
-      if (!sample) continue;
+      const AttributeVector* sample = ctx_.store->latest_sample(vm.name);
+      if (sample == nullptr) continue;
       if (predict_) {
         obs::ScopedTimer timer(stage_cause_inference_);
         inference_.observe(i, now, *sample);

@@ -62,9 +62,10 @@ PreventionActuator::MetricKind PreventionActuator::kind_of(Attribute a) {
 
 double PreventionActuator::lookback_mean(const std::string& vm, Attribute a,
                                          double now) const {
-  const auto mean =
-      store_->series(vm, a).mean_between(now - config_.lookback_s, now);
-  return mean.value_or(0.0);
+  const MetricStore::History* history = store_->history(vm);
+  PREPARE_CHECK_MSG(history != nullptr, "unknown VM: " + vm);
+  return history->mean_between(a, now - config_.lookback_s, now)
+      .value_or(0.0);
 }
 
 bool PreventionActuator::try_scale(Vm* vm, MetricKind kind) {
@@ -309,8 +310,9 @@ void PreventionActuator::on_sample(double now,
       continue;
     }
     // Still unhealthy: did the acted metric respond at all?
-    const auto ahead = store_->series(vm_name, pv.acted)
-                           .mean_between(pv.action_time, now);
+    const MetricStore::History* history = store_->history(vm_name);
+    PREPARE_CHECK_MSG(history != nullptr, "unknown VM: " + vm_name);
+    const auto ahead = history->mean_between(pv.acted, pv.action_time, now);
     const double before = pv.lookback_mean;
     const double after = ahead.value_or(before);
     const double denom = std::max(std::abs(before), 1e-6);
@@ -372,13 +374,15 @@ void PreventionActuator::maybe_reclaim(double now,
     if (now - m.last_action_time < config_.reclaim_idle_s) continue;
     Vm* vm = m.vm;
     const std::string& vm_name = vm->name();
-    if (vm->migrating() || store_->sample_count(vm_name) == 0) continue;
+    if (vm->migrating()) continue;
+    const MetricStore::History* history = store_->history(vm_name);
+    if (history == nullptr) continue;
 
     const double window_start = now - config_.reclaim_idle_s;
     // CPU: shrink toward baseline when sustained utilization is low.
     if (vm->cpu_alloc() > m.baseline_cpu * 1.01) {
-      const auto util = store_->series(vm_name, Attribute::kCpuUtil)
-                            .mean_between(window_start, now);
+      const auto util =
+          history->mean_between(Attribute::kCpuUtil, window_start, now);
       if (util && *util < config_.reclaim_cpu_util_pct) {
         const double target =
             std::max(m.baseline_cpu, vm->cpu_alloc() * config_.reclaim_factor);
@@ -392,8 +396,8 @@ void PreventionActuator::maybe_reclaim(double now,
     }
     // Memory: shrink toward baseline when sustained usage is low.
     if (vm->mem_alloc() > m.baseline_mem * 1.01) {
-      const auto util = store_->series(vm_name, Attribute::kMemUtil)
-                            .mean_between(window_start, now);
+      const auto util =
+          history->mean_between(Attribute::kMemUtil, window_start, now);
       if (util && *util < config_.reclaim_mem_util_pct) {
         const double target =
             std::max(m.baseline_mem, vm->mem_alloc() * config_.reclaim_factor);

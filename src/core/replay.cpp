@@ -70,9 +70,12 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
     features.push_back(attribute_name(static_cast<Attribute>(a)));
 
   // Train one model per VM on the labeled prefix (parallel to vm_names).
+  std::vector<const MetricStore::History*> histories;
   std::vector<AnomalyPredictor> predictors;
   std::vector<AlarmFilter> filters;
   for (const auto& vm : vm_names) {
+    histories.push_back(store.history(vm));
+    PREPARE_CHECK_MSG(histories.back() != nullptr, "unknown VM: " + vm);
     AnomalyPredictor& predictor =
         predictors.emplace_back(features, config.predictor);
     const LabeledSamples samples =
@@ -84,10 +87,10 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
 
   // Replay.
   ReplayReport report;
-  const std::size_t total = store.sample_count(vm_names[0]);
+  const std::vector<double>& times = histories[0]->times;
   double last_time = config.train_end;
-  for (std::size_t i = 0; i < total; ++i) {
-    const double t = store.sample_time(vm_names[0], i);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const double t = times[i];
     if (t <= config.train_end) continue;
     last_time = t;
     if (config.tracer != nullptr) {
@@ -97,7 +100,10 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
     for (std::size_t v = 0; v < vm_names.size(); ++v) {
       const std::string& vm = vm_names[v];
       AnomalyPredictor& predictor = predictors[v];
-      predictor.observe(store.sample(vm, i));
+      PREPARE_CHECK(i < histories[v]->size())
+          << "VM " << vm << " has " << histories[v]->size()
+          << " samples, not " << i + 1;
+      predictor.observe(histories[v]->rows[i]);
       if (!predictor.ready() || !predictor.discriminative()) continue;
       const auto result = predictor.predict(TickIndex{steps});
       double top = 0.0;

@@ -1,6 +1,5 @@
 #include "monitor/labeler.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace prepare {
@@ -12,25 +11,17 @@ LabeledSamples Labeler::label(const MetricStore& store, const SloLog& slo,
   const MetricStore::History* history = store.history(vm_name);
   if (history == nullptr) return out;
   // Timestamps strictly increase, so the window is one index range.
-  const std::vector<TimePoint>& clock = (*history)[0].points();
-  const auto before = [](const TimePoint& p, double t) { return p.time < t; };
-  const auto first = static_cast<std::size_t>(
-      std::lower_bound(clock.begin(), clock.end(), t0, before) -
-      clock.begin());
-  std::size_t last = first;
-  while (last < clock.size() && !(clock[last].time > t1)) ++last;
+  const auto [first, last] = history->window(t0, t1);
   const std::size_t n = last - first;
-  out.times.resize(n);
+  out.times.assign(history->times.data() + first,
+                   history->times.data() + last);
   out.abnormal.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    out.times[r] = clock[first + r].time;
+  for (std::size_t r = 0; r < n; ++r)
     out.abnormal[r] = slo.violated_at(out.times[r]);
-  }
   for (std::size_t a = 0; a < kAttributeCount; ++a) {
-    const std::vector<TimePoint>& points = (*history)[a].points();
     out.columns[a].resize(n);
     for (std::size_t r = 0; r < n; ++r)
-      out.columns[a][r] = points[first + r].value;
+      out.columns[a][r] = history->rows[first + r][a];
   }
   return out;
 }

@@ -1,24 +1,43 @@
-// Per-VM, per-attribute metric history.
+// Per-VM metric history: one row of the 13 attributes per sample.
 //
 // The store is what the anomaly predictor trains on and what the
-// prevention validator's look-back / look-ahead windows read from.
+// prevention validator's look-back / look-ahead windows read from. Each
+// VM has a slot, in first-recorded order, holding its sample times and
+// one AttributeVector row per sample; a NameTable finds the slot.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "monitor/attributes.h"
-#include "timeseries/timeseries.h"
+#include "monitor/name_table.h"
 
 namespace prepare {
 
 class MetricStore {
  public:
-  /// Appends one monitoring sample for a VM. Every value must be
-  /// finite; a NaN or infinite one throws CheckFailure and stores
-  /// nothing.
+  /// One VM's samples, oldest first.
+  struct History {
+    std::vector<double> times;          ///< strictly increasing
+    std::vector<AttributeVector> rows;  ///< rows[i] sampled at times[i]
+
+    std::size_t size() const { return times.size(); }
+
+    /// [first, last) indices of the samples with time in [t0, t1].
+    std::pair<std::size_t, std::size_t> window(double t0, double t1) const;
+
+    /// Mean of attribute `a` over the samples with time in [t0, t1],
+    /// summed oldest first; nullopt if no sample falls inside.
+    std::optional<double> mean_between(Attribute a, double t0,
+                                       double t1) const;
+  };
+
+  /// Appends one monitoring sample for a VM. Every value must be finite
+  /// and the time must be later than the VM's previous sample; otherwise
+  /// it throws CheckFailure and stores nothing.
   void record(const std::string& vm_name, double time,
               const AttributeVector& values);
 
@@ -26,22 +45,18 @@ class MetricStore {
   std::size_t sample_count(const std::string& vm_name) const;
 
   /// All VM names seen so far, in first-seen order.
-  const std::vector<std::string>& vm_names() const { return vm_names_; }
+  const std::vector<std::string>& vm_names() const { return names_.names(); }
 
-  /// Series for one attribute of one VM; throws if the VM is unknown.
-  const TimeSeries& series(const std::string& vm_name, Attribute a) const;
-
-  /// Sample i of a VM as a full attribute vector (plus its timestamp).
-  AttributeVector sample(const std::string& vm_name, std::size_t i) const;
+  /// Sample i of a VM and its timestamp; throw if the VM is unknown or i
+  /// is out of range.
+  const AttributeVector& sample(const std::string& vm_name,
+                                std::size_t i) const;
   double sample_time(const std::string& vm_name, std::size_t i) const;
 
-  /// The latest sample of a VM; nullopt if the VM is unknown.
-  std::optional<AttributeVector> latest_sample(
-      const std::string& vm_name) const;
+  /// The latest sample of a VM, in place; null if the VM is unknown.
+  const AttributeVector* latest_sample(const std::string& vm_name) const;
 
-  /// Every attribute's series of one VM, all on the same timestamps, in
-  /// one lookup; null if the VM is unknown.
-  using History = std::array<TimeSeries, kAttributeCount>;
+  /// Every sample of one VM, in one lookup; null if the VM is unknown.
   const History* history(const std::string& vm_name) const;
 
   void clear();
@@ -49,8 +64,8 @@ class MetricStore {
  private:
   const History& history_of(const std::string& vm_name) const;
 
-  std::map<std::string, History> histories_;
-  std::vector<std::string> vm_names_;
+  NameTable names_;
+  std::vector<History> histories_;  ///< by slot
 };
 
 }  // namespace prepare

@@ -1,7 +1,7 @@
 #include "monitor/trace_io.h"
 
 #include <algorithm>
-
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -9,6 +9,29 @@
 #include "common/csv.h"
 
 namespace prepare {
+
+namespace {
+
+/// The whole of `field` as a double; throws std::runtime_error naming the
+/// field and its column otherwise (std::stod alone would read "1.5x" as
+/// 1.5 and report any other failure only as "stod").
+double parse_field(const std::string& field, const std::string& column) {
+  bool whole = false;
+  double value = 0.0;
+  try {
+    std::size_t used = 0;
+    value = std::stod(field, &used);
+    whole = used == field.size();
+  } catch (const std::logic_error&) {
+    // std::invalid_argument, or std::out_of_range
+  }
+  if (!whole)
+    throw std::runtime_error("malformed number '" + field + "' in column " +
+                             column);
+  return value;
+}
+
+}  // namespace
 
 void save_metric_store_csv(const MetricStore& store,
                            const std::string& path) {
@@ -18,17 +41,22 @@ void save_metric_store_csv(const MetricStore& store,
   CsvWriter csv(path, header);
   // All VMs share the sampling loop; emit rows grouped by sample index
   // so the file reads chronologically.
+  const std::vector<std::string>& names = store.vm_names();
+  std::vector<const MetricStore::History*> histories;
   std::size_t max_samples = 0;
-  for (const auto& vm : store.vm_names())
-    max_samples = std::max(max_samples, store.sample_count(vm));
+  for (const auto& vm : names) {
+    histories.push_back(store.history(vm));
+    max_samples = std::max(max_samples, histories.back()->size());
+  }
+  std::vector<std::string> row;
   for (std::size_t i = 0; i < max_samples; ++i) {
-    for (const auto& vm : store.vm_names()) {
-      if (i >= store.sample_count(vm)) continue;
-      std::vector<std::string> row;
-      row.push_back(format_number(store.sample_time(vm, i)));
-      row.push_back(vm);
-      const auto values = store.sample(vm, i);
-      for (double v : values) row.push_back(format_number(v));
+    for (std::size_t v = 0; v < names.size(); ++v) {
+      const MetricStore::History& h = *histories[v];
+      if (i >= h.size()) continue;
+      row.clear();
+      row.push_back(format_number(h.times[i]));
+      row.push_back(names[v]);
+      for (double value : h.rows[i]) row.push_back(format_number(value));
       csv.row(row);
     }
   }
@@ -48,8 +76,10 @@ MetricStore load_metric_store_csv(const std::string& path) {
   while (csv.next(&fields)) {
     AttributeVector values{};
     for (std::size_t a = 0; a < kAttributeCount; ++a)
-      values[a] = std::stod(fields[attr_cols[a]]);
-    store.record(fields[vm_col], std::stod(fields[time_col]), values);
+      values[a] = parse_field(fields[attr_cols[a]],
+                              attribute_name(static_cast<Attribute>(a)));
+    store.record(fields[vm_col], parse_field(fields[time_col], "time_s"),
+                 values);
   }
   return store;
 }
@@ -78,8 +108,10 @@ SloLog load_slo_log_csv(const std::string& path) {
   SloLog slo;
   std::vector<std::string> fields;
   while (csv.next(&fields)) {
-    slo.record(std::stod(fields[time_col]), std::stod(fields[dt_col]),
-               fields[violated_col] == "1", std::stod(fields[metric_col]));
+    slo.record(parse_field(fields[time_col], "time_s"),
+               parse_field(fields[dt_col], "dt_s"),
+               fields[violated_col] == "1",
+               parse_field(fields[metric_col], "slo_metric"));
   }
   return slo;
 }

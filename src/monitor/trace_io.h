@@ -21,15 +21,19 @@ namespace prepare {
 void save_metric_store_csv(const MetricStore& store,
                            const std::string& path);
 
-/// Loads a store written by save_metric_store_csv. Throws on malformed
-/// files (missing columns, non-monotone timestamps per VM).
+/// Loads a store written by save_metric_store_csv. Throws on a file that
+/// cannot be read (std::runtime_error), a missing column or a row of the
+/// wrong width (CheckFailure), a field that is not wholly a number
+/// (std::runtime_error), and a sample the store rejects (CheckFailure:
+/// non-finite values, non-increasing timestamps per VM).
 MetricStore load_metric_store_csv(const std::string& path);
 
 /// Writes the per-tick SLO record (violated flag + headline metric).
 /// Throws std::runtime_error as save_metric_store_csv does.
 void save_slo_log_csv(const SloLog& slo, const std::string& path);
 
-/// Loads an SLO log written by save_slo_log_csv.
+/// Loads an SLO log written by save_slo_log_csv. Throws as
+/// load_metric_store_csv does.
 SloLog load_slo_log_csv(const std::string& path);
 
 }  // namespace prepare

@@ -9,15 +9,13 @@ VmMonitor::VmMonitor(Config config, std::uint64_t seed)
     : config_(config), rng_(seed) {}
 
 VmMonitor::VmState& VmMonitor::state_of(const Vm& vm) {
-  auto it = states_.find(vm.name());
-  if (it == states_.end()) {
-    it = states_
-             .emplace(vm.name(),
-                      VmState(config_.load1_alpha, config_.load5_alpha,
-                              config_.graybox))
-             .first;
+  std::size_t slot = names_.find(vm.name());
+  if (slot == NameTable::kNone) {
+    slot = names_.add(vm.name());
+    states_.emplace_back(config_.load1_alpha, config_.load5_alpha,
+                         config_.graybox);
   }
-  return it->second;
+  return states_[slot];
 }
 
 double VmMonitor::noisy(double value) {

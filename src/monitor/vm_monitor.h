@@ -7,13 +7,13 @@
 // them (EWMAs of runnable demand, pressure-driven fault rate).
 #pragma once
 
-#include <map>
-#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "monitor/attributes.h"
 #include "monitor/memory_estimator.h"
+#include "monitor/name_table.h"
 #include "sim/vm.h"
 
 namespace prepare {
@@ -43,7 +43,7 @@ class VmMonitor {
   explicit VmMonitor(Config config = {}, std::uint64_t seed = 11);
 
   /// Takes one sample of `vm`. Must be called once per sampling interval
-  /// per VM (it advances the per-VM EWMA state).
+  /// per VM (it advances the per-VM EWMA state, found by the VM's name).
   AttributeVector sample(const Vm& vm);
 
   const Config& config() const { return config_; }
@@ -62,7 +62,8 @@ class VmMonitor {
 
   Config config_;
   Rng rng_;
-  std::map<std::string, VmState> states_;
+  NameTable names_;
+  std::vector<VmState> states_;  ///< by slot of names_
 };
 
 }  // namespace prepare

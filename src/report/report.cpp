@@ -44,14 +44,15 @@ double y_of(double v, const Range& vr) {
          (v - vr.lo) / (vr.hi - vr.lo) * (kChartHeight - 2 * kPad);
 }
 
-/// Polyline for a time series within the given ranges.
-std::string polyline(const TimeSeries& series, const Range& tr,
+/// Polyline through (times[i], values[i]) within the given ranges.
+std::string polyline(const std::vector<double>& times,
+                     const std::vector<double>& values, const Range& tr,
                      const Range& vr, const char* color) {
   std::ostringstream os;
   os << "<polyline fill='none' stroke='" << color
      << "' stroke-width='1.5' points='";
-  for (const auto& p : series.points())
-    os << x_of(p.time, tr) << "," << y_of(vr.clamp(p.value), vr) << " ";
+  for (std::size_t i = 0; i < times.size(); ++i)
+    os << x_of(times[i], tr) << "," << y_of(vr.clamp(values[i]), vr) << " ";
   os << "'/>";
   return os.str();
 }
@@ -103,8 +104,11 @@ std::string render_html_report(const ReportInput& input) {
   const TimeSeries& metric = input.slo->metric_trace();
   PREPARE_CHECK_MSG(!metric.empty(), "report needs a recorded SLO trace");
   Range tr{metric.at(0).time, metric.back().time};
-  std::vector<double> values;
-  for (const auto& p : metric.points()) values.push_back(p.value);
+  std::vector<double> times, values;
+  for (const auto& p : metric.points()) {
+    times.push_back(p.time);
+    values.push_back(p.value);
+  }
   Range vr = range_of(values);
 
   std::ostringstream html;
@@ -148,7 +152,7 @@ std::string render_html_report(const ReportInput& input) {
          << "' height='" << kChartHeight - 2 * kPad
          << "' fill='#fdd' class='violation'/>";
   }
-  html << axes(tr, vr) << polyline(metric, tr, vr, "#36c");
+  html << axes(tr, vr) << polyline(times, values, tr, vr, "#36c");
   if (input.events != nullptr) {
     for (const auto& e : input.events->events()) {
       if (e.kind == EventKind::kAlert || e.kind == EventKind::kInfo)
@@ -167,17 +171,18 @@ std::string render_html_report(const ReportInput& input) {
   // --- per-VM CPU and free-memory panels ---
   for (const auto& vm : input.store->vm_names()) {
     html << chart_open(vm + " — cpu_util (%) and free_mem (MB, scaled)");
-    const TimeSeries& cpu =
-        input.store->series(vm, Attribute::kCpuUtil);
-    const TimeSeries& mem =
-        input.store->series(vm, Attribute::kFreeMem);
+    const MetricStore::History& history = *input.store->history(vm);
     std::vector<double> cpu_values, mem_values;
-    for (const auto& p : cpu.points()) cpu_values.push_back(p.value);
-    for (const auto& p : mem.points()) mem_values.push_back(p.value);
+    for (const AttributeVector& row : history.rows) {
+      cpu_values.push_back(get(row, Attribute::kCpuUtil));
+      mem_values.push_back(get(row, Attribute::kFreeMem));
+    }
     const Range cpur = range_of(cpu_values);
     const Range memr = range_of(mem_values);
-    html << axes(tr, cpur) << polyline(cpu, tr, cpur, "#2a7")
-         << polyline(mem, tr, memr, "#c72") << "</svg></figure>";
+    html << axes(tr, cpur)
+         << polyline(history.times, cpu_values, tr, cpur, "#2a7")
+         << polyline(history.times, mem_values, tr, memr, "#c72")
+         << "</svg></figure>";
   }
 
   html << "</body></html>";

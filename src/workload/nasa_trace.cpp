@@ -36,6 +36,8 @@ NasaTraceWorkload::NasaTraceWorkload(Config config, std::uint64_t seed)
     const double duration =
         config_.burst_duration_s * (0.5 + rng.uniform(0.0, 1.0));
     bursts_.push_back({t, duration, magnitude});
+    const double end = t + duration;
+    reach_.push_back(reach_.empty() ? end : std::max(reach_.back(), end));
   }
 }
 
@@ -47,8 +49,15 @@ double NasaTraceWorkload::rate(double t) const {
   double shape = 1.0 - config_.diurnal_amplitude * std::cos(day_phase);
   shape *= 1.0 + config_.weekly_amplitude *
                      std::sin(day_phase / 7.0 + 0.6);
-  // Bursts (flash crowds): raised-cosine pulses.
-  for (const auto& burst : bursts_) {
+  // Bursts (flash crowds): raised-cosine pulses. Every burst before
+  // `first` ended before t, and bursts start in order, so the walk stops
+  // at the first one that starts after t. The active ones are summed in
+  // index order, which keeps rate()'s bits.
+  const auto first = static_cast<std::size_t>(
+      std::lower_bound(reach_.begin(), reach_.end(), t) - reach_.begin());
+  for (std::size_t i = first; i < bursts_.size(); ++i) {
+    const Burst& burst = bursts_[i];
+    if (burst.start > t) break;
     if (t >= burst.start && t <= burst.start + burst.duration) {
       const double phase = (t - burst.start) / burst.duration;
       shape += burst.magnitude *

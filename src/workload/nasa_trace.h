@@ -39,18 +39,23 @@ class NasaTraceWorkload : public Workload {
 
   double rate(double t) const override;
 
-  const Config& config() const { return config_; }
-  std::size_t burst_count() const { return bursts_.size(); }
-
- private:
   struct Burst {
     double start;
     double duration;
     double magnitude;  // relative
   };
 
+  const Config& config() const { return config_; }
+  /// The precomputed bursts, in order of start.
+  const std::vector<Burst>& bursts() const { return bursts_; }
+
+ private:
   Config config_;
   std::vector<Burst> bursts_;
+  /// reach_[i]: the latest `start + duration` among bursts 0..i. It never
+  /// decreases, so one binary search finds the first burst that can
+  /// still be active at t.
+  std::vector<double> reach_;
 };
 
 }  // namespace prepare

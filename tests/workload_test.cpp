@@ -1,3 +1,6 @@
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -113,14 +116,67 @@ TEST(NasaTrace, BurstsRaiseRate) {
   bursty.burst_rate_per_day = 500.0;  // many bursts
   NasaTraceWorkload quiet(base, 2);
   NasaTraceWorkload loud(bursty, 2);
-  EXPECT_EQ(quiet.burst_count(), 0u);
-  EXPECT_GT(loud.burst_count(), 0u);
+  EXPECT_TRUE(quiet.bursts().empty());
+  EXPECT_FALSE(loud.bursts().empty());
   double quiet_sum = 0.0, loud_sum = 0.0;
   for (double t = 0.0; t < 1800.0; t += 5.0) {
     quiet_sum += quiet.rate(t);
     loud_sum += loud.rate(t);
   }
   EXPECT_GT(loud_sum, quiet_sum);
+}
+
+/// FNV-1a over the bits of rate(t) for a 0.25 s grid across the burst
+/// horizon (plus a margin on both sides) and every burst's edges, each
+/// edge also one ulp to either side.
+std::uint64_t rate_digest(const NasaTraceWorkload& w, std::uint64_t h) {
+  const auto fold = [&h](double t, double rate) {
+    for (const double v : {t, rate}) {
+      unsigned char bytes[sizeof v];
+      std::memcpy(bytes, &v, sizeof v);
+      for (const unsigned char b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+      }
+    }
+  };
+  const double end = w.config().horizon_s + 100.0;
+  for (double k = -8.0; k * 0.25 <= end; k += 1.0) {
+    const double t = k * 0.25;
+    fold(t, w.rate(t));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& burst : w.bursts()) {
+    for (const double edge : {burst.start, burst.start + burst.duration}) {
+      for (const double t : {std::nextafter(edge, -inf), edge,
+                             std::nextafter(edge, inf)})
+        fold(t, w.rate(t));
+    }
+  }
+  return h;
+}
+
+// Recorded before rate() skipped the bursts that cannot overlap t: the
+// window must sum the same bursts in the same order, at their edges too.
+TEST(NasaTrace, RateBitsArePinned) {
+  std::uint64_t h = 14695981039346656037ull;
+  std::size_t bursts = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const NasaTraceWorkload w(NasaTraceConfig{}, seed);
+    bursts += w.bursts().size();
+    h = rate_digest(w, h);
+  }
+  // Overlapping bursts: ~4,000 over the horizon, often several at once.
+  NasaTraceConfig crowded;
+  crowded.burst_rate_per_day = 500.0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const NasaTraceWorkload w(crowded, seed);
+    bursts += w.bursts().size();
+    h = rate_digest(w, h);
+  }
+  SCOPED_TRACE(testing::Message() << "digest 0x" << std::hex << h);
+  EXPECT_EQ(bursts, 29211u);
+  EXPECT_EQ(h, 0xa2d1df89e2cdde3aull);
 }
 
 TEST(NasaTrace, RejectsBadConfig) {

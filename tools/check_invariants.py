@@ -33,6 +33,15 @@ Enforced rules (each maps to a real bug class we care about):
   R8  locked-requires  a `..._locked(` helper declared in a header must
                        carry PREPARE_REQUIRES(mu) so the analysis checks
                        its callers actually hold the lock.
+  R9  no-string-keyed-vm-state
+                       std::map, std::set, std::unordered_map or
+                       std::unordered_set (or a multi- form) keyed by
+                       std::string in src/core or src/monitor. Per-VM
+                       state there is indexed by position: the controller
+                       by its VM table, the monitor and the metric store
+                       by the slots of a NameTable (monitor/name_table.h).
+                       src/obs is out of scope: its registry is keyed by
+                       metric name by design.
 
 Usage: check_invariants.py [PATHS...]   (default: src)
 Exits 0 when clean, 1 with one "path:line: [rule] message" per violation.
@@ -66,6 +75,12 @@ FIXTURE_DIRS = {"analyze_fixtures", "invariants_fixtures"}
 THREAD_DETACH_RE = re.compile(r"\.\s*detach\s*\(")
 SLEEP_SYNC_RE = re.compile(r"\bsleep_(?:for|until)\s*\(")
 LOCKED_HELPER_RE = re.compile(r"\b\w+_locked\s*\(")
+ASSOCIATIVE_OPEN = r"\bstd::(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*"
+STRING_KEYED_RE = re.compile(
+    ASSOCIATIVE_OPEN + r"(?:const\s+)?std::string\b")
+# A container whose template arguments start on the next line.
+OPEN_CONTAINER_RE = re.compile(ASSOCIATIVE_OPEN + "$")
+STRING_KEYED_SCOPE = {"core", "monitor"}
 # A `_locked(` occurrence is a *call* (not a declaration) when an
 # expression context immediately precedes it: return / assignment /
 # member access / nesting inside another call's argument list.
@@ -87,6 +102,15 @@ def src_root_of(path: Path) -> Path | None:
     return None
 
 
+def in_string_keyed_scope(path: Path) -> bool:
+    """True for files under src/core or src/monitor (R9's scope)."""
+    src_root = src_root_of(path)
+    if src_root is None:
+        return False
+    parts = path.relative_to(src_root).parts
+    return len(parts) > 1 and parts[0] in STRING_KEYED_SCOPE
+
+
 def check_file(path: Path) -> list[tuple[Path, int, str, str]]:
     try:
         rel = path.relative_to(REPO_ROOT)
@@ -95,6 +119,7 @@ def check_file(path: Path) -> list[tuple[Path, int, str, str]]:
     text = path.read_text(encoding="utf-8", errors="replace")
     lines = text.splitlines()
     findings = []
+    string_keyed_scope = in_string_keyed_scope(path)
 
     in_block_comment = False
     first_include: tuple[int, str] | None = None
@@ -155,6 +180,18 @@ def check_file(path: Path) -> list[tuple[Path, int, str, str]]:
                 (rel, lineno, "no-sleep-sync",
                  "sleeping is not synchronisation — a slow machine turns "
                  "this test flaky; join the thread or wait on a condition"))
+
+        if string_keyed_scope:
+            decl = code
+            if OPEN_CONTAINER_RE.search(code) and lineno < len(lines):
+                decl += " " + strip_line_comment(lines[lineno])
+            if m := STRING_KEYED_RE.search(decl):
+                container = m.group(0).split("<")[0].strip()
+                findings.append(
+                    (rel, lineno, "no-string-keyed-vm-state",
+                     f"{container} keyed by std::string; index per-VM "
+                     "state by position (a NameTable slot or the "
+                     "controller's VM table) instead"))
 
         if path.suffix == ".h" and (m := LOCKED_HELPER_RE.search(code)):
             prefix = code[:m.start()]
